@@ -241,7 +241,7 @@ def cmd_match(args) -> int:
         with open(args.costs) as fh:
             payload = json.load(fh)
         cost = payload["cost"] if isinstance(payload, dict) else payload
-        match = matching.hungarian(np.asarray(cost, dtype=np.float64))
+        match = matching.hungarian(cost)
         results = {"match": dataclasses.asdict(match)}
     else:
         preds, gts = _load_instances_dir(args.instances)

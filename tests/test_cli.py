@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import clicklab
 from clicklab.cli import main
 from clicklab.fileio import read_pm, write_pgm, write_pm
 
@@ -121,10 +125,17 @@ def test_match_costs_json(capsys, tmp_path):
     assert report["results"]["match"]["total_cost"] == 2.0
 
 
-def test_match_nan_cost_exit_two(capsys, tmp_path):
+@pytest.mark.parametrize("cost", [
+    [[1.0, float("nan")]],
+    [[1, "a"], [2, 3]],
+    [[1, 2], [3]],
+], ids=["nan", "non_numeric", "ragged"])
+def test_match_malformed_cost_exit_two(capsys, tmp_path, cost):
     costs = tmp_path / "costs.json"
-    costs.write_text(json.dumps([[1.0, float("nan")]]))
+    costs.write_text(json.dumps(cost))
     assert main(["match", "--costs", str(costs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_match_instances_dir(capsys, tmp_path):
@@ -214,3 +225,14 @@ def test_report_reproducible_for_same_seed(capsys):
     _, b = run_cli(capsys, "loss", "identity-check", "--seed", "8", "--cases", "10")
     assert a["results"] == b["results"]
     assert a["config_hash"] == b["config_hash"]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only `match` needs the assignment solver; the other commands must not
+    # pay for importing scipy.optimize at start-up
+    src = os.path.dirname(os.path.dirname(clicklab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, clicklab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"

@@ -86,6 +86,21 @@ def test_hungarian_more_preds_than_gts():
     assert m.total_cost == 2.0
 
 
+@pytest.mark.parametrize("cost, assignment, total", [
+    # wide and tall with a +1e6 block: a 0.001 gap is a real gap, not a tie
+    ([[1.001, 1.0] + [1e6] * 6], [(0, 1)], 1.0),
+    ([[1.001], [1.0]] + [[1e6]] * 6, [(1, 0)], 1.0),
+    # entries near the float64 maximum
+    ([[1e307, 5.0, 1.0]], [(0, 2)], 1.0),
+    ([[1e308, 5.0, 1.0]], [(0, 2)], 1.0),
+    ([[1e308], [5.0], [1.0]], [(2, 0)], 1.0),
+], ids=["wide_gap", "tall_gap", "wide_1e307", "wide_1e308", "tall_1e308"])
+def test_hungarian_known_optimum(cost, assignment, total):
+    m = matching.hungarian(np.array(cost))
+    assert m.assignment == assignment
+    assert m.total_cost == total
+
+
 def test_hungarian_rejects_non_finite():
     with pytest.raises(ParameterError):
         matching.hungarian(np.array([[1.0, float("nan")], [0.0, 1.0]]))
@@ -119,11 +134,19 @@ def test_hungarian_float_costs_against_brute_force():
 
 def test_hungarian_lexicographic_tie_break_against_enumeration():
     # tiny integer ranges force many cost-equal optima; the returned
-    # assignment must be the enumerated lexicographic minimum every time
+    # assignment must be the enumerated lexicographic minimum every time.
+    # A seeded share of the draws gets +1e6 on one column or one row, so
+    # wide and tall inputs with a large-magnitude block are covered too.
     rng = rng_stream(35, "test/hungarian_lex")
+    shift = rng_stream(35, "test/hungarian_lex_shift")
     for _ in range(400):
         n, m = (int(v) for v in rng.integers(1, 5, size=2))
         c = rng.integers(0, 3, size=(n, m)).astype(np.float64)
+        kind = shift.integers(0, 3)
+        if kind == 1:
+            c[:, shift.integers(0, m)] += 1e6
+        elif kind == 2:
+            c[shift.integers(0, n), :] += 1e6
         got = matching.hungarian(c).assignment
         assert got == brute_force_lex_min_assignment(c), c
 
