@@ -373,7 +373,8 @@ def cmd_train_demo(args) -> int:
 def _iter_noc_samples(args):
     """Yield (sample_id, features, gt) triples from a dataset dir or synth spec."""
     if args.dataset.startswith("synth:"):
-        spec = synthgen.SynthSpec.from_json(json.load(open(args.dataset[len("synth:"):])))
+        with open(args.dataset[len("synth:"):]) as fh:
+            spec = synthgen.SynthSpec.from_json(json.load(fh))
         for i in range(args.count):
             sample = synthgen.generate(dataclasses.replace(spec, seed=args.seed + i))
             for j, gt in enumerate(sample.gt_instances):
@@ -388,22 +389,29 @@ def _iter_noc_samples(args):
                 yield f"{os.path.basename(d)}/mask_{j:02d}", features, gt
 
 
-def _make_predictor(kind: str, gt, seed: int, radius: float):
+def _parse_predictor(kind: str, radius: float):
+    """Turn a ``--predictor`` spec into a ``(gt, seed) -> predictor`` factory."""
     if kind == "oracle":
-        return clicksim.OraclePredictor(gt)
+        return lambda gt, seed: clicksim.OraclePredictor(gt)
     if kind.startswith("noisy:"):
-        return clicksim.NoisyOraclePredictor(gt, float(kind[len("noisy:"):]), seed, radius)
+        try:
+            rate = float(kind[len("noisy:"):])
+        except ValueError:
+            raise ParameterError(f"noisy predictor needs a numeric rate, got {kind!r}") from None
+        return lambda gt, seed: clicksim.NoisyOraclePredictor(gt, rate, seed, radius)
     if kind.startswith("trained:"):
-        model = trainer.PixelModel.from_json(json.load(open(kind[len("trained:"):])))
-        return clicksim.TrainedPredictor(model, radius)
+        with open(kind[len("trained:"):]) as fh:
+            model = trainer.PixelModel.from_json(json.load(fh))
+        predictor = clicksim.TrainedPredictor(model, radius)
+        return lambda gt, seed: predictor
     raise ParameterError(f"unknown predictor {kind!r}; use oracle, noisy:<rate>, trained:<file>")
 
 
 def cmd_noc_run(args) -> int:
+    make_predictor = _parse_predictor(args.predictor, args.radius)
     traces = []
     for idx, (sample_id, features, gt) in enumerate(_iter_noc_samples(args)):
-        predictor = _make_predictor(args.predictor, gt, args.seed + idx, args.radius)
-        traces.append(clicksim.run_noc(predictor, features, gt,
+        traces.append(clicksim.run_noc(make_predictor(gt, args.seed + idx), features, gt,
                                        max_clicks=args.max_clicks, sample_id=sample_id))
     summary = clicksim.aggregate(traces, args.max_clicks)
     payload = {

@@ -13,10 +13,15 @@ Protocol version 1, pinned so traces stay comparable across builds:
   default radius 5 at full resolution;
 * simulation stops at the highest threshold or after 20 clicks; a threshold
   never reached scores 20 and is flagged failed.
+
+Placing a click costs O(H·W) however many error components there are: one
+labelling pass per polarity ranks them all, and only the winner's bounding
+box reaches the distance transform.  Each click disk is drawn in its window.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,37 +118,39 @@ def next_click(pred, gt, prior=()) -> ClickRecord:
     if not fn.any() and not fp.any():
         raise PerfectPredictionError("prediction equals ground truth; no click needed")
 
-    candidates = []
-    for polarity_rank, err in ((0, fn), (1, fp)):
-        labels, count = ndimage.label(err, structure=_FOUR_CONNECTED)
-        for lbl in range(1, count + 1):
-            comp = labels == lbl
-            size = int(comp.sum())
-            anchor = tuple(np.argwhere(comp)[0])
-            candidates.append((-size, polarity_rank, anchor, comp))
-    candidates.sort(key=lambda t: (t[0], t[1], t[2]))
-    _, polarity_rank, _, comp = candidates[0]
-    r, c = interior_point(comp.astype(np.uint8))
-    return ClickRecord(r, c, positive=(polarity_rank == 0), index=len(prior) + 1)
+    top = 0
+    for is_fn, err in ((True, fn), (False, fp)):
+        comp_labels, _ = ndimage.label(err, structure=_FOUR_CONNECTED)
+        comp_sizes = np.bincount(comp_labels.ravel())
+        comp_sizes[0] = 0
+        if comp_sizes.max() > top:  # strict: FN, scanned first, wins equal sizes
+            top, positive, labels, sizes = comp_sizes.max(), is_fn, comp_labels, comp_sizes
+    # of the largest components the protocol picks the one with the smallest
+    # first row-major pixel, which is the first pixel lying in any of them
+    lbl = labels.flat[np.argmax(sizes[labels] == top)]
+    # outside its bounding box the component is 0, so the crop (padded with
+    # zeros by interior_point) keeps every distance unchanged
+    rows, cols = ndimage.find_objects(labels, max_label=lbl)[lbl - 1]
+    r, c = interior_point((labels[rows, cols] == lbl).astype(np.uint8))
+    return ClickRecord(r + rows.start, c + cols.start, positive=positive, index=len(prior) + 1)
 
 
 def encode_clicks(clicks, h: int, w: int, radius: float = DEFAULT_CLICK_RADIUS):
-    """Binary disk maps (positive, negative); strict Euclidean radius."""
-    if radius < 1:
+    """Binary disk maps (positive, negative); strict Euclidean radius >= 1,
+    where an infinite radius covers the whole image."""
+    if not radius >= 1:
         raise ParameterError(f"radius must be >= 1, got {radius}")
     pos = np.zeros((h, w), dtype=np.float64)
     neg = np.zeros((h, w), dtype=np.float64)
-    if not clicks:
-        return pos, neg
-    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
+    reach = math.ceil(min(radius, h + w))  # no disk pixel lies farther along an axis
     for click in clicks:
         if not (0 <= click.row < h and 0 <= click.col < w):
             raise ParameterError(f"click ({click.row}, {click.col}) outside {h}x{w} image")
+        r0, c0 = max(click.row - reach, 0), max(click.col - reach, 0)
+        rows, cols = np.ogrid[r0:min(click.row + reach + 1, h), c0:min(click.col + reach + 1, w)]
         disk = np.hypot(rows - click.row, cols - click.col) < radius
-        if click.positive:
-            pos[disk] = 1.0
-        else:
-            neg[disk] = 1.0
+        target = pos if click.positive else neg
+        target[r0:r0 + disk.shape[0], c0:c0 + disk.shape[1]][disk] = 1.0
     return pos, neg
 
 

@@ -51,9 +51,9 @@ def as_binary_mask(mask) -> np.ndarray:
     arr = np.asarray(mask)
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionError(f"binary mask must be a nonempty 2-D field, got shape {arr.shape}")
-    uniq = np.unique(arr)
-    if not np.isin(uniq, (0, 1)).all():
-        raise ParameterError(f"binary mask may contain only 0 and 1, found values {uniq[:8]}")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ParameterError(
+            f"binary mask may contain only 0 and 1, found values {np.unique(arr)[:8]}")
     return arr.astype(np.uint8, copy=False)
 
 

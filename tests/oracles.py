@@ -1,7 +1,9 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately brute force: exhaustive enumeration for
-assignment problems and value-only central differences for gradients.
+assignment problems, value-only central differences for gradients, and
+one full-image pass per error component or click disk for click placement
+and click encoding.
 """
 
 from __future__ import annotations
@@ -10,6 +12,15 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+from scipy import ndimage
+
+from clicklab.clicksim import ClickRecord, interior_point
+from clicklab.core import (
+    ParameterError,
+    PerfectPredictionError,
+    as_binary_mask,
+    check_same_shape,
+)
 
 
 @lru_cache(maxsize=None)
@@ -67,3 +78,53 @@ def central_diff(value_fn, prob: np.ndarray, h: float = 1e-6) -> np.ndarray:
         work[idx] = orig
         grad[idx] = (up - down) / (2.0 * h)
     return grad
+
+
+def reference_next_click(pred, gt, prior=()) -> ClickRecord:
+    """Protocol-1 click placement, one full-image pass per error component.
+
+    Every 4-connected component of both polarities becomes a candidate keyed
+    by (-size, FN before FP, first row-major pixel); the winner's full-image
+    mask goes to ``interior_point``.
+    """
+    p = as_binary_mask(pred)
+    y = as_binary_mask(gt)
+    check_same_shape(p, y)
+    fn = (y == 1) & (p == 0)
+    fp = (p == 1) & (y == 0)
+    if not fn.any() and not fp.any():
+        raise PerfectPredictionError("prediction equals ground truth; no click needed")
+
+    candidates = []
+    for polarity_rank, err in ((0, fn), (1, fp)):
+        labels, count = ndimage.label(err, structure=ndimage.generate_binary_structure(2, 1))
+        for lbl in range(1, count + 1):
+            comp = labels == lbl
+            size = int(comp.sum())
+            anchor = tuple(np.argwhere(comp)[0])
+            candidates.append((-size, polarity_rank, anchor, comp))
+    candidates.sort(key=lambda t: (t[0], t[1], t[2]))
+    _, polarity_rank, _, comp = candidates[0]
+    r, c = interior_point(comp.astype(np.uint8))
+    return ClickRecord(r, c, positive=(polarity_rank == 0), index=len(prior) + 1)
+
+
+def reference_encode_clicks(clicks, h: int, w: int, radius: float):
+    """Click disk maps (positive, negative), each disk evaluated on a
+    full-image coordinate grid."""
+    if not radius >= 1:
+        raise ParameterError(f"radius must be >= 1, got {radius}")
+    pos = np.zeros((h, w), dtype=np.float64)
+    neg = np.zeros((h, w), dtype=np.float64)
+    if not clicks:
+        return pos, neg
+    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
+    for click in clicks:
+        if not (0 <= click.row < h and 0 <= click.col < w):
+            raise ParameterError(f"click ({click.row}, {click.col}) outside {h}x{w} image")
+        disk = np.hypot(rows - click.row, cols - click.col) < radius
+        if click.positive:
+            pos[disk] = 1.0
+        else:
+            neg[disk] = 1.0
+    return pos, neg

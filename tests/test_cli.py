@@ -220,6 +220,64 @@ def test_noc_unknown_predictor_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.fixture()
+def noc_spec(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"height": 24, "width": 24, "seed": 1}))
+    return f"synth:{spec_path}"
+
+
+@pytest.mark.parametrize("radius, code", [("nan", 2), ("0.5", 2), ("inf", 0)])
+def test_noc_radius_validated(capsys, tmp_path, noc_spec, radius, code):
+    out = tmp_path / "t.json"
+    assert main(["noc", "run", "--predictor", "noisy:0.05", "--dataset", noc_spec, "--seed", "1",
+                 "--count", "1", "--radius", radius, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        # disks covering the whole image pin every pixel after the first click
+        assert json.loads(out.read_text())["aggregate"]["mean_noc90"] == 1.0
+
+
+@pytest.mark.parametrize("predictor, prefix", [
+    ("noisy:abc", "error: "),
+    ("noisy:", "error: "),
+    ("noisy:1.5", "error: "),
+    ("noisy:nan", "error: "),
+    ("trained:{tmp}/missing.json", "input error: "),
+    ("trained:{tmp}/not_json.json", "input error: "),
+    ("trained:{tmp}/no_weights.json", "input error: "),
+], ids=["noisy_text", "noisy_empty", "noisy_above_one", "noisy_nan",
+        "trained_missing", "trained_not_json", "trained_no_weights"])
+def test_noc_malformed_predictor_exit_two(capsys, tmp_path, noc_spec, predictor, prefix):
+    (tmp_path / "not_json.json").write_text("{weights")
+    (tmp_path / "no_weights.json").write_text(json.dumps({"bias": 0.0}))
+    code = main(["noc", "run", "--predictor", predictor.format(tmp=tmp_path),
+                 "--dataset", noc_spec, "--seed", "1", "--count", "1",
+                 "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_noc_trained_model_read_once(capsys, tmp_path, noc_spec, monkeypatch):
+    from clicklab import trainer
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(trainer.PixelModel(np.zeros(6), 0.0).to_json()))
+    loads = []
+    real_from_json = trainer.PixelModel.from_json.__func__
+    monkeypatch.setattr(trainer.PixelModel, "from_json",
+                        classmethod(lambda cls, obj: loads.append(1) or real_from_json(cls, obj)))
+    code, report = run_cli(capsys, "noc", "run", "--predictor", f"trained:{model_path}",
+                           "--dataset", noc_spec, "--seed", "1", "--count", "3",
+                           "--max-clicks", "2", "--out", str(tmp_path / "t.json"))
+    assert code == 0
+    assert report["results"]["aggregate"]["samples"] == 3
+    assert len(loads) == 1
+
+
 def test_report_reproducible_for_same_seed(capsys):
     _, a = run_cli(capsys, "loss", "identity-check", "--seed", "8", "--cases", "10")
     _, b = run_cli(capsys, "loss", "identity-check", "--seed", "8", "--cases", "10")

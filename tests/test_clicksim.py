@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from clicklab import clicksim
+from clicklab import clicksim, synthgen
 from clicklab.core import ParameterError, PerfectPredictionError, rng_stream
+from oracles import reference_encode_clicks, reference_next_click
 
 
 def centered_square(h=11, w=11, size=5):
@@ -39,6 +43,40 @@ def test_encode_overlapping_clicks_stay_binary():
 def test_encode_out_of_bounds_click():
     with pytest.raises(ParameterError):
         clicksim.encode_clicks([clicksim.ClickRecord(9, 0, True, 1)], 5, 5, radius=2)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), 0.5, 0.0, -3.0])
+def test_encode_rejects_radius_below_one_or_nan(radius):
+    with pytest.raises(ParameterError):
+        clicksim.encode_clicks([clicksim.ClickRecord(1, 1, True, 1)], 4, 4, radius=radius)
+
+
+def test_encode_infinite_radius_covers_image():
+    clicks = [clicksim.ClickRecord(0, 3, False, 1)]
+    _, neg = clicksim.encode_clicks(clicks, 5, 7, radius=float("inf"))
+    assert (neg == 1.0).all()
+
+
+def test_encode_matches_full_image_reference():
+    rng = rng_stream(43, "test/encode_sweep")
+    radii = (1.0, 1.5, 2.5, 4.999, 5.0, 7.3, 60.0, float("inf"))
+    for _ in range(1000):
+        h, w = (int(v) for v in rng.integers(1, 41, size=2))
+        radius = radii[rng.integers(len(radii))]
+        if rng.random() < 0.3:
+            radius = float(rng.uniform(1.0, 12.0))
+        clicks = []
+        for i in range(int(rng.integers(0, 6))):
+            row, col = int(rng.integers(h)), int(rng.integers(w))
+            if rng.random() < 0.5:  # pin to a random border
+                side = int(rng.integers(4))
+                row = (0, h - 1, row, row)[side]
+                col = (col, col, 0, w - 1)[side]
+            clicks.append(clicksim.ClickRecord(row, col, bool(rng.random() < 0.5), i + 1))
+        got = clicksim.encode_clicks(clicks, h, w, radius=radius)
+        want = reference_encode_clicks(clicks, h, w, radius)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and np.array_equal(g, r), (h, w, radius, clicks)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +132,61 @@ def test_next_click_lands_inside_error_region():
             assert pred[click.row, click.col] == 1 and gt[click.row, click.col] == 0
 
 
+def test_next_click_equal_size_tie_goes_to_first_row_major_pixel():
+    # an L whose first pixel (0, 6) precedes the rectangle's (1, 0) although
+    # its centroid (2.3, 5.8) comes after the rectangle's (1.5, 1.0)
+    gt = np.zeros((6, 8), dtype=np.uint8)
+    gt[0:5, 6] = 1
+    gt[4, 5] = 1
+    gt[1:3, 0:3] = 1
+    click = clicksim.next_click(np.zeros_like(gt), gt)
+    assert click.positive and (click.row, click.col) == (0, 6)
+
+
+def test_next_click_false_negative_beats_earlier_false_positive_of_equal_size():
+    gt = np.zeros((6, 6), dtype=np.uint8)
+    gt[3, 3:5] = 1           # FN, anchor (3, 3)
+    pred = np.zeros_like(gt)
+    pred[0, 0:2] = 1         # FP of the same size, anchor (0, 0)
+    click = clicksim.next_click(pred, gt)
+    assert click.positive and (click.row, click.col) == (3, 3)
+
+
+@pytest.mark.parametrize("rows, cols, expected", [
+    (slice(6, 10), slice(5, 9), (7, 6)),   # bottom-right corner
+    (slice(0, 5), slice(0, 9), (2, 2)),    # full-width band on the top edge
+])
+def test_next_click_border_counts_as_boundary(rows, cols, expected):
+    gt = np.zeros((10, 9), dtype=np.uint8)
+    gt[rows, cols] = 1
+    pred = np.zeros_like(gt)
+    pred[8, 0] = 1  # a small FP elsewhere, so the winner is cropped
+    click = clicksim.next_click(pred, gt)
+    assert click.positive and (click.row, click.col) == expected
+    assert click == reference_next_click(pred, gt)
+
+
+def test_next_click_matches_full_image_reference():
+    rng = rng_stream(44, "test/next_click_sweep")
+    cases = 0
+    for size in (5, 8, 13, 24, 48, 128):
+        for rate in (0.01, 0.05, 0.2, 0.5):
+            for kind in ("random", "square"):
+                for _ in range(1 if size == 128 else 3):
+                    if kind == "random":
+                        gt = (rng.random((size, size)) < 0.4).astype(np.uint8)
+                    else:
+                        gt = centered_square(size, size, max(1, size // 2))
+                    pred = np.where(rng.random(gt.shape) < rate, 1 - gt, gt).astype(np.uint8)
+                    if (pred == gt).all():
+                        continue
+                    prior = [None] * int(rng.integers(0, 5))
+                    assert clicksim.next_click(pred, gt, prior) == \
+                        reference_next_click(pred, gt, prior), (size, rate, kind)
+                    cases += 1
+    assert cases >= 100
+
+
 def test_next_click_perfect_prediction_signals():
     gt = centered_square()
     with pytest.raises(PerfectPredictionError):
@@ -147,6 +240,18 @@ def test_run_noc_deterministic():
     b = clicksim.run_noc(clicksim.NoisyOraclePredictor(gt, 0.1, 7), feats(gt), gt)
     assert a.ious == b.ious
     assert [c.as_dict() for c in a.clicks] == [c.as_dict() for c in b.clicks]
+
+
+def test_protocol_version_one_trace_pinned():
+    # a change to click placement or click encoding moves this digest; such a
+    # change must bump PROTOCOL_VERSION
+    sample = synthgen.generate(synthgen.SynthSpec(64, 64, 2, "blob", 1.0, False, seed=3))
+    traces = [clicksim.run_noc(clicksim.NoisyOraclePredictor(gt, 0.05, 11 + j),
+                               sample.feature_map, gt, sample_id=f"mask_{j:02d}").as_dict()
+              for j, gt in enumerate(sample.gt_instances)]
+    digest = hashlib.sha256(json.dumps(traces, sort_keys=True).encode()).hexdigest()
+    assert clicksim.PROTOCOL_VERSION == "1"
+    assert digest == "e0885bf3e0ebbd7cac88606909e76cc1133714b31adaeb23bf132387b5bd6531"
 
 
 def test_run_noc_requires_foreground():

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from clicklab.core import (
     DimensionError,
     ParameterError,
+    as_binary_mask,
     binarize,
     iou,
     pt_map,
@@ -36,6 +39,24 @@ def test_pt_map_errors():
         pt_map(np.full((2, 2), 0.5), np.zeros((3, 2), dtype=int))
     with pytest.raises(ParameterError):
         pt_map(np.full((2, 2), 0.5), np.zeros((2, 2), dtype=int), eps_clip=0.5)
+
+
+@pytest.mark.parametrize("values", [
+    [[0, 1]], [[False, True]], [[0.0, 1.0]], [[-0.0, 1.0]], np.ones((3, 2), dtype=np.int64),
+])
+def test_binary_mask_accepts_zero_one_of_any_dtype(values):
+    got = as_binary_mask(values)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, np.asarray(values, dtype=float))
+
+
+@pytest.mark.parametrize("values, shown", [
+    ([[0, 2]], "[0 2]"), ([[0.5, 1.0]], "[0.5 1. ]"), ([[np.nan, 0.0]], "[ 0. nan]"),
+    ([[-1, 0]], "[-1  0]"), ([["0", "1"]], "['0' '1']"),
+])
+def test_binary_mask_rejects_other_values(values, shown):
+    with pytest.raises(ParameterError, match=r"found values " + re.escape(shown)):
+        as_binary_mask(values)
 
 
 def test_iou_identical_and_disjoint():
