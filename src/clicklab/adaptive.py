@@ -103,8 +103,13 @@ def mu(pt, gamma_d: float, delta: float) -> float:
         raise ParameterError(f"delta must be in [0, 1], got {delta}")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ParameterError("pt values must lie in [0, 1]")
-    n = arr.size
-    denom = float(((1.0 - arr) ** gamma_d).sum() * (1.0 + delta * gamma_d))
+    return _mu_kernel(arr, gamma_d, delta)
+
+
+def _mu_kernel(pt: np.ndarray, gamma_d: float, delta: float) -> float:
+    """``mu`` of a trusted pt array and valid coefficients."""
+    n = pt.size
+    denom = float(((1.0 - pt) ** gamma_d).sum() * (1.0 + delta * gamma_d))
     return n / max(denom, MU_FLOOR_PER_PIXEL * n)
 
 
@@ -117,18 +122,21 @@ def afl(pred, gt, params: AflParams = AflParams(),
     """
     params.validate()
     pt, chain = _pt_and_chain(pred, gt, params.eps_clip)
-    fg = as_binary_mask(gt) == 1
+    diag = _afl_coeffs(pt, as_binary_mask(gt) == 1, params)
+    value_px, dvalue_dpt = powlog_kernel(pt, diag.gamma_d, params.alpha, diag.mu)
+    value, grad = _reduce(value_px, dvalue_dpt * chain, reduction)
+    return LossOutput(value, grad, diag.as_dict()), diag
+
+
+def _afl_coeffs(pt: np.ndarray, fg: np.ndarray, params: AflParams) -> AflDiagnostics:
+    """gamma_a, gamma_d and mu of a trusted pt map and its boolean foreground."""
     hard_count = int(fg.sum())
     fg_pt_mean = float(pt[fg].mean()) if hard_count else 1.0
 
     g_a = 1.0 - fg_pt_mean if (params.ada_enabled and hard_count > 0) else 0.0
     g_d = params.gamma + g_a
-    mu_val = mu(pt, g_d, params.delta) if params.agr_enabled else 1.0
-
-    value_px, dvalue_dpt = powlog_kernel(pt, g_d, params.alpha, mu_val)
-    value, grad = _reduce(value_px, dvalue_dpt * chain, reduction)
-    diag = AflDiagnostics(g_a, g_d, mu_val, hard_count, fg_pt_mean)
-    return LossOutput(value, grad, diag.as_dict()), diag
+    mu_val = _mu_kernel(pt, g_d, params.delta) if params.agr_enabled else 1.0
+    return AflDiagnostics(g_a, g_d, mu_val, hard_count, fg_pt_mean)
 
 
 def afl_value_with_coeffs(pred, gt, gamma_d: float, mu_val: float, alpha: float,
@@ -140,7 +148,7 @@ def afl_value_with_coeffs(pred, gt, gamma_d: float, mu_val: float, alpha: float,
     gradient must reproduce.
     """
     pt, _ = _pt_and_chain(pred, gt, eps_clip)
-    value_px, _ = powlog_kernel(pt, gamma_d, alpha, mu_val)
+    value_px, _ = powlog_kernel(pt, gamma_d, alpha, mu_val, grad=False)
     if reduction == "mean":
         return float(value_px.sum() / value_px.size)
     return float(value_px.sum())

@@ -15,9 +15,9 @@ and an elementwise affine map.  Attention masks come from binarizing each
 query's current mask prediction; a fully masked row is reset to unmasked
 before softmax, which keeps every row a valid distribution.
 
-A forward pass cycles the blocks over three coarse-to-fine scales and reads
-out per-query masks and click-class probabilities at the pixel-embedding
-resolution.
+A forward pass cycles the blocks over three coarse-to-fine scales, with the
+N queries' mask logits kept as one (N, h, w) array as in Mask2Former; only
+the final masks and click-class probabilities become InstancePredictions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from scipy import ndimage
 from scipy.special import expit
 
 from .clicksim import DEFAULT_CLICK_RADIUS, encode_clicks
-from .core import ClickLabError, DimensionError, ParameterError, binarize, rng_stream
+from .core import ClickLabError, DimensionError, ParameterError, as_prob_map, binarize, rng_stream
 from .matching import InstancePrediction
 
 _SCALE_FRACTIONS = (32, 16, 8)  # coarse-to-fine denominators; pixel embed at 1/4
@@ -117,29 +117,33 @@ class AttentionState:
 # ---------------------------------------------------------------------------
 
 def resize_nearest(arr: np.ndarray, h: int, w: int) -> np.ndarray:
-    rows = (np.arange(h) * arr.shape[0] // h).astype(int)
-    cols = (np.arange(w) * arr.shape[1] // w).astype(int)
-    return arr[np.ix_(rows, cols)]
+    """Nearest-neighbour resize of the last two axes to h x w (one fancy index)."""
+    rows = np.arange(h) * arr.shape[-2] // h
+    cols = np.arange(w) * arr.shape[-1] // w
+    return arr[..., rows[:, None], cols]
+
+
+def _attn_rows(probs: np.ndarray, threshold: float) -> np.ndarray:
+    """(N, h*w) {0, -inf} rows, 0 where an (N, h, w) prediction stack is
+    foreground.  An all-background row would mask everything, so it is reset
+    to all-0 (unmasked) to keep the softmax well defined."""
+    fg = binarize(probs.reshape(len(probs), -1), threshold)
+    mask = np.where(fg == 1, 0.0, -np.inf)
+    mask[~fg.any(axis=1)] = 0.0
+    return mask
 
 
 def attn_mask_from_pred(mask_pred, threshold: float = 0.5) -> np.ndarray:
-    """Flat {0, -inf} row: 0 where the binarized prediction is foreground.
-
-    An all-background prediction would mask everything, so that row is reset
-    to all-0 (unmasked) to keep the softmax well defined.
-    """
-    fg = binarize(mask_pred, threshold).ravel()
-    row = np.where(fg == 1, 0.0, -np.inf)
-    if not np.isfinite(row).any():
-        row = np.zeros_like(row)
-    return row
+    """Flat {0, -inf} row of one prediction (see ``_attn_rows``)."""
+    return _attn_rows(as_prob_map(mask_pred)[None], threshold)[0]
 
 
 def stack_attn_masks(mask_preds, threshold: float, h: int, w: int) -> np.ndarray:
-    """Per-query mask rows, resized (nearest) to the target scale."""
-    return np.stack([
-        attn_mask_from_pred(resize_nearest(p, h, w), threshold) for p in mask_preds
-    ])
+    """Per-query mask rows of equal-shape predictions, resized (nearest) to h x w."""
+    probs = np.asarray(mask_preds, dtype=np.float64)
+    if probs.ndim != 3:
+        raise DimensionError(f"expected a stack of 2-D mask predictions, got shape {probs.shape}")
+    return _attn_rows(resize_nearest(probs, h, w), threshold)
 
 
 def click_attention_matrix(scale: ScaleFeatures, queries: np.ndarray,
@@ -170,56 +174,54 @@ def masked_softmax(scores: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def masked_cross_attention(x, psi, q, k, v) -> np.ndarray:
-    """softmax(psi + Q K^T) V plus the residual input."""
-    return masked_softmax(psi + q @ k.T) @ v + x
+def masked_cross_attention(x, psi, q, k, v, need_weights: bool = False):
+    """softmax(psi + Q K^T) V plus the residual input; ``(out, weights)``
+    with ``need_weights``."""
+    weights = masked_softmax(psi + q @ k.T)
+    out = weights @ v + x
+    return (out, weights) if need_weights else out
 
 
 def camd_layer(state: AttentionState, scale: ScaleFeatures,
                params: AttentionParams, collect: list | None = None) -> AttentionState:
     """One decoder block: clicks-aware cross-attention, self-attention, FFN."""
     q = state.x @ params.f_q
-    k = scale.features @ params.f_k
-    v = scale.features @ params.f_v
     psi = click_attention_matrix(scale, q, params, state.attn_mask)
-
-    attn = masked_softmax(psi + q @ k.T)
+    x, attn = masked_cross_attention(
+        state.x, psi, q, scale.features @ params.f_k, scale.features @ params.f_v,
+        need_weights=True)
     if collect is not None:
         collect.append({"attn": attn, "mask": state.attn_mask, "layer": state.layer_index})
-    x = attn @ v + state.x
 
-    x = masked_softmax((x @ params.f_q) @ (x @ params.f_k).T) @ (x @ params.f_v) + x
+    x = masked_cross_attention(x, 0.0, x @ params.f_q, x @ params.f_k, x @ params.f_v)
     x = np.maximum(x @ params.ffn_w1 + params.ffn_b1, 0.0) @ params.ffn_w2 + params.ffn_b2 + x
     if not np.isfinite(x).all():
         raise ClickLabError("internal: non-finite query features after decoder block")
     return AttentionState(x, psi, state.attn_mask, state.layer_index + 1)
 
 
-def predict_heads(x: np.ndarray, pixel_embed: ScaleFeatures,
-                  params: AttentionParams) -> list[InstancePrediction]:
-    """Per-query mask probabilities and click-class probabilities.
-
-    Mask logits are the query embedding (through a 3-layer MLP) against the
-    pixel embedding; zero weights give logistic(0) = 0.5 everywhere and a
-    uniform class pair.
-    """
+def _mask_logits(x: np.ndarray, pixel_embed: ScaleFeatures, params: AttentionParams) -> np.ndarray:
+    """(N, h, w) logits: the query embedding (3-layer MLP) against the pixel embedding."""
     h = x
     for i, (w_i, b_i) in enumerate(params.mask_head):
         h = h @ w_i + b_i
         if i < len(params.mask_head) - 1:
             h = np.maximum(h, 0.0)
-    logits = h @ pixel_embed.features.T  # (N, hw)
-    probs = expit(logits)
+    return (h @ pixel_embed.features.T).reshape(-1, pixel_embed.h, pixel_embed.w)
 
+
+def predict_heads(x: np.ndarray, pixel_embed: ScaleFeatures,
+                  params: AttentionParams) -> list[InstancePrediction]:
+    """Per-query mask probabilities and click-class probabilities.
+
+    Zero weights give logistic(0) = 0.5 everywhere and a uniform class pair.
+    """
+    probs = expit(_mask_logits(x, pixel_embed, params))
     cls_logits = x @ params.click_head + params.click_bias
     cls_logits = cls_logits - cls_logits.max(axis=1, keepdims=True)
     e = np.exp(cls_logits)
     cls_probs = e / e.sum(axis=1, keepdims=True)
-
-    return [
-        InstancePrediction(probs[i].reshape(pixel_embed.h, pixel_embed.w), cls_probs[i])
-        for i in range(x.shape[0])
-    ]
+    return [InstancePrediction(p, c) for p, c in zip(probs, cls_probs)]
 
 
 def camd_forward(scales, pixel_embed: ScaleFeatures, params: AttentionParams,
@@ -235,16 +237,13 @@ def camd_forward(scales, pixel_embed: ScaleFeatures, params: AttentionParams,
     if len(scales) != 3:
         raise ParameterError(f"expected 3 scale feature sets, got {len(scales)}")
     x = params.x0.copy()
-    preds = predict_heads(x, pixel_embed, params)
     for layer in range(3 * blocks):
         scale = scales[layer % 3]
-        mask = stack_attn_masks([p.mask_probs for p in preds], 0.5, scale.h, scale.w)
-        psi0 = np.where(np.isneginf(mask), -np.inf, 0.0)
-        state = AttentionState(x, psi0, mask, layer)
-        state = camd_layer(state, scale, params, collect)
-        x = state.x
-        preds = predict_heads(x, pixel_embed, params)
-    return preds
+        # the logistic is elementwise, so only the resized logits need it
+        logits = resize_nearest(_mask_logits(x, pixel_embed, params), scale.h, scale.w)
+        mask = _attn_rows(expit(logits), 0.5)
+        x = camd_layer(AttentionState(x, mask, mask, layer), scale, params, collect).x
+    return predict_heads(x, pixel_embed, params)
 
 
 # ---------------------------------------------------------------------------

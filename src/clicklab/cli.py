@@ -179,8 +179,7 @@ def cmd_identity_check(args) -> int:
 
 
 def cmd_loss_curve(args) -> int:
-    gammas = [float(v) for v in args.gammas.split(",")]
-    gamma_as = [float(v) for v in args.gamma_a.split(",")]
+    gammas, gamma_as = args.gammas, args.gamma_a
     pts = np.linspace(0.01, 0.99, args.pt_points)
     lines = ["gamma,gamma_a,gamma_d,pt,focal_component,poly_component,loss,grad_magnitude"]
     for g in gammas:
@@ -327,7 +326,8 @@ def load_sample_dir(path: str):
 
 
 def cmd_synth_gen(args) -> int:
-    spec = synthgen.SynthSpec.from_json(json.load(open(args.spec)))
+    with open(args.spec) as fh:
+        spec = synthgen.SynthSpec.from_json(json.load(fh))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     ids = []
@@ -345,7 +345,8 @@ def cmd_synth_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train_demo(args) -> int:
-    spec = synthgen.SynthSpec.from_json(json.load(open(args.spec)))
+    with open(args.spec) as fh:
+        spec = synthgen.SynthSpec.from_json(json.load(fh))
     sample = synthgen.generate(spec)
     config = trainer.TrainConfig(
         loss=args.loss, loss_params=_loss_params_from_args(args), steps=args.steps,
@@ -435,6 +436,23 @@ def cmd_noc_run(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _checked(convert, ok, expected: str):
+    """argparse type: ``convert(text)``, a usage error unless ``ok`` accepts it."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+def _floats(text: str) -> list:
+    return [float(v) for v in text.split(",")]
+
+
 def _add_loss_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -477,8 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_identity_check)
 
     p = loss_sub.add_parser("curve", help="loss/gradient vs pt over an exponent grid")
-    p.add_argument("--gammas", default="0,0.5,1,2,3")
-    p.add_argument("--gamma-a", default="0,0.25,0.5,0.75,1", dest="gamma_a")
+    p.add_argument("--gammas", default="0,0.5,1,2,3", type=_checked(
+        _floats, lambda gs: all(0.0 <= g <= 5.0 for g in gs), "comma-separated numbers in [0, 5]"))
+    p.add_argument("--gamma-a", default="0,0.25,0.5,0.75,1", dest="gamma_a", type=_checked(
+        _floats, lambda gs: all(0.0 <= g <= 1.0 for g in gs), "comma-separated numbers in [0, 1]"))
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--pt-points", type=int, default=99, dest="pt_points")
     p.add_argument("--out", required=True)
@@ -507,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = att_sub.add_parser("demo", help="seeded forward pass with invariant checks")
     p.add_argument("--queries", type=int, default=10)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--hw", type=int, nargs=2, default=(64, 64))
+    p.add_argument("--hw", type=_checked(int, lambda v: v >= 1, "a positive integer"), nargs=2,
+                   default=(64, 64))
     p.add_argument("--blocks", type=int, default=3)
     p.add_argument("--clicks", type=int, default=2)
     p.add_argument("--seed", type=int, required=True)

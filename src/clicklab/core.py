@@ -95,8 +95,12 @@ def pt_map(pred, gt, eps_clip: float = DEFAULT_EPS_CLIP) -> np.ndarray:
     y = as_binary_mask(gt)
     check_same_shape(p, y)
     check_eps_clip(eps_clip)
-    pt = np.where(y == 1, p, 1.0 - p)
-    return np.maximum(pt, eps_clip)
+    return _pt_kernel(p, y, eps_clip)
+
+
+def _pt_kernel(p: np.ndarray, y: np.ndarray, eps_clip: float) -> np.ndarray:
+    """``pt_map`` of trusted arrays; ``p`` and ``y`` may broadcast."""
+    return np.maximum(np.where(y == 1, p, 1.0 - p), eps_clip)
 
 
 def iou(pred_mask, gt) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     DEFAULT_EPS_CLIP,
     ParameterError,
+    _pt_kernel,
     as_binary_mask,
     as_prob_map,
     check_eps_clip,
@@ -68,16 +69,19 @@ def _reduce(value_px: np.ndarray, grad_p: np.ndarray, reduction: str) -> tuple[f
 # shared kernel:  per-pixel  -mu*(1-pt)^g * log(pt) + alpha*(1-pt)^(g+1)
 # ---------------------------------------------------------------------------
 
-def powlog_kernel(pt: np.ndarray, g: float, alpha: float, mu: float):
+def powlog_kernel(pt: np.ndarray, g: float, alpha: float, mu: float, grad: bool = True):
     """Per-pixel values and d/d(pt) of the modulated cross-entropy family.
 
     ``pt`` must already be clamped away from 0.  ``g``, ``alpha`` and ``mu``
-    are treated as constants.  Returns ``(value_px, dvalue_dpt)``.
+    are treated as constants.  Returns ``(value_px, dvalue_dpt)``; callers
+    that need only values pass ``grad=False`` and get ``dvalue_dpt = None``.
     """
     omp = 1.0 - pt
     log_pt = np.log(pt)
     mod = omp ** g
     value_px = -mu * mod * log_pt + alpha * omp ** (g + 1.0)
+    if not grad:
+        return value_px, None
     # omp**(g-1) diverges at pt=1 for g<1; its contribution vanishes there
     # because log(pt) -> 0 faster, so mask that factor to 0.
     with np.errstate(divide="ignore"):
@@ -92,11 +96,8 @@ def _pt_and_chain(pred, gt, eps):
     y = as_binary_mask(gt)
     check_same_shape(p, y)
     check_eps_clip(eps)
-    raw_pt = np.where(y == 1, p, 1.0 - p)
-    pt = np.maximum(raw_pt, eps)
-    sign = np.where(y == 1, 1.0, -1.0)
-    chain = sign * (raw_pt > eps)
-    return pt, chain
+    pt = _pt_kernel(p, y, eps)
+    return pt, np.where(y == 1, 1.0, -1.0) * (pt > eps)  # pt > eps exactly where unclamped
 
 
 def _powlog_loss(pred, gt, g, alpha, mu, eps, reduction) -> LossOutput:
@@ -160,6 +161,11 @@ def dice(pred, gt, smooth: float = 1.0) -> LossOutput:
     p = as_prob_map(pred)
     y = as_binary_mask(gt).astype(np.float64)
     check_same_shape(p, y)
+    return _dice_kernel(p, y, smooth)
+
+
+def _dice_kernel(p: np.ndarray, y: np.ndarray, smooth: float) -> LossOutput:
+    """``dice`` of a trusted probability map and same-shape {0, 1} mask."""
     num = 2.0 * float((p * y).sum()) + smooth
     den = float(p.sum() + y.sum()) + smooth
     if den == 0.0:  # only reachable with smooth=0 on an all-empty pair

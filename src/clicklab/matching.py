@@ -12,7 +12,8 @@ assignment (lowest prediction index first, then lowest ground-truth index),
 so ties never depend on the solver's iteration order.
 
 Unmatched predictions are charged the down-weighted "unclick" classification
-term in :func:`total_loss`.
+term in :func:`total_loss`.  Its N x M cost matrix is built in one pass over
+maps the dataclasses validated once; :func:`pair_cost` is the 1 x 1 case.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adaptive, losses
-from .core import DEFAULT_EPS_CLIP, DimensionError, ParameterError, as_binary_mask, as_prob_map
+from .core import (DEFAULT_EPS_CLIP, DimensionError, ParameterError, _pt_kernel, as_binary_mask,
+                   as_prob_map)
 
 _TIE_RTOL = 1e-9
 
@@ -91,12 +93,33 @@ def pair_cost(pred: InstancePrediction, gt: GroundTruthInstance,
               weights: LossWeights = LossWeights(),
               afl_params: adaptive.AflParams = adaptive.AflParams()) -> float:
     """Matching cost of one (prediction, ground truth) pair."""
+    return float(_cost_matrix([pred], [gt], weights, afl_params)[0, 0])
+
+
+def _cost_matrix(preds: list, gts: list, weights: LossWeights,
+                 afl_params: adaptive.AflParams) -> np.ndarray:
+    """N x M pair costs.  The dataclasses validated every map, so only shapes
+    and parameters are checked here, once.  pt is computed for a row of pairs
+    at a time; the per-pair reductions share the kernels of ``adaptive.afl``
+    and ``losses.dice`` (values only) and run in the same order."""
     weights.validate()
-    mask_out, _ = adaptive.afl(pred.mask_probs, gt.mask, afl_params)
-    dice_out = losses.dice(pred.mask_probs, gt.mask)
-    mask_term = weights.lambda_afl * mask_out.value + weights.lambda_dice * dice_out.value
-    cls_term = _class_nll(pred.click_class_probs, gt.class_index)
-    return weights.lambda_mask * mask_term + weights.lambda_cli * cls_term
+    afl_params.validate()
+    shapes = {pr.mask_probs.shape for pr in preds} | {gt.mask.shape for gt in gts}
+    if len(shapes) > 1:
+        raise DimensionError(f"mask shapes differ: {sorted(shapes)}")
+    y = np.stack([gt.mask for gt in gts])
+    fg = y == 1
+    cost = np.empty((len(preds), len(gts)), dtype=np.float64)
+    for i, pr in enumerate(preds):
+        pt = _pt_kernel(pr.mask_probs, y, afl_params.eps_clip)
+        for j, gt in enumerate(gts):
+            diag = adaptive._afl_coeffs(pt[j], fg[j], afl_params)
+            afl_px, _ = losses.powlog_kernel(pt[j], diag.gamma_d, afl_params.alpha, diag.mu, grad=False)
+            dice = losses._dice_kernel(pr.mask_probs, y[j], 1.0).value
+            mask_term = weights.lambda_afl * float(afl_px.sum()) + weights.lambda_dice * dice
+            cls_term = _class_nll(pr.click_class_probs, gt.class_index)
+            cost[i, j] = weights.lambda_mask * mask_term + weights.lambda_cli * cls_term
+    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +132,8 @@ def hungarian(cost) -> MatchResult:
     Among optima within ``1e-9 * (1 + |optimum|)`` of the true optimum of
     ``cost`` the returned assignment is the lexicographically smallest by
     (prediction, gt) index: an earlier prediction is matched rather than left
-    unmatched, and then to the lowest gt index.
+    unmatched, and then to the lowest gt index.  A cost matrix whose optimum
+    sums to more than the float64 range raises ``ParameterError``.
     """
     # imported lazily: scipy.optimize adds ~22 MB and ~0.26 s to every CLI start-up
     from scipy.optimize import linear_sum_assignment
@@ -127,11 +151,15 @@ def hungarian(cost) -> MatchResult:
         """Optimal {row: col} of the sub-matrix c[rows, cols] and its total."""
         sub = c[np.ix_(rows, cols)]
         r, k = linear_sum_assignment(sub)
-        return {rows[a]: cols[b] for a, b in zip(r, k)}, float(sub[r, k].sum())
+        with np.errstate(over="ignore"):  # inf never ties a finite optimum; an inf one is rejected
+            total = float(sub[r, k].sum())
+        return {rows[a]: cols[b] for a, b in zip(r, k)}, total
 
     n_pred, n_gt = c.shape
     rows, cols = list(range(n_pred)), list(range(n_gt))
     col_of, best = solve(rows, cols)
+    if not np.isfinite(best):
+        raise ParameterError("the optimal assignment's total cost overflows float64")
     tol = _TIE_RTOL * (1.0 + abs(best))
     spent = 0.0
     for i in range(n_pred):
@@ -142,12 +170,12 @@ def hungarian(cost) -> MatchResult:
             if j == col_of.get(i):
                 break
             rest_of, rest = solve(rows, [k for k in cols if k != j])
-            if spent + c[i, j] + rest <= best + tol:
+            if spent + float(c[i, j]) + rest <= best + tol:
                 col_of = {r: g for r, g in col_of.items() if r < i} | {i: j} | rest_of
                 break
         if i in col_of:
             cols.remove(col_of[i])
-            spent += c[i, col_of[i]]
+            spent += float(c[i, col_of[i]])
 
     pairs = sorted(col_of.items())
     pair_costs = [float(c[i, j]) for i, j in pairs]
@@ -176,10 +204,7 @@ def total_loss(preds: list, gts: list,
     weights.validate()
 
     if gts:
-        cost = np.empty((len(preds), len(gts)), dtype=np.float64)
-        for i, pr in enumerate(preds):
-            for j, gt in enumerate(gts):
-                cost[i, j] = pair_cost(pr, gt, weights, afl_params)
+        cost = _cost_matrix(preds, gts, weights, afl_params)
         match = hungarian(cost)
     else:
         match = MatchResult([], list(range(len(preds))), [], 0.0)

@@ -1,9 +1,10 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately brute force: exhaustive enumeration for
-assignment problems, value-only central differences for gradients, and
-one full-image pass per error component or click disk for click placement
-and click encoding.
+assignment problems, value-only central differences for gradients, one
+full-image pass per error component or click disk for click placement and
+click encoding, one query at a time through the decoder, and one fully
+validated loss evaluation per matching pair.
 """
 
 from __future__ import annotations
@@ -14,13 +15,27 @@ from functools import lru_cache
 import numpy as np
 from scipy import ndimage
 
+from scipy.special import expit
+
+from clicklab import adaptive, attention, matching
 from clicklab.clicksim import ClickRecord, interior_point
 from clicklab.core import (
+    DEFAULT_EPS_CLIP,
+    ClickLabError,
     ParameterError,
     PerfectPredictionError,
     as_binary_mask,
+    binarize,
     check_same_shape,
+    pt_map,
 )
+from clicklab.losses import powlog_kernel
+
+
+def bits(a: np.ndarray):
+    """Key that compares equal only for bit-identical arrays."""
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -128,3 +143,119 @@ def reference_encode_clicks(clicks, h: int, w: int, radius: float):
         else:
             neg[disk] = 1.0
     return pos, neg
+
+
+# ---------------------------------------------------------------------------
+# decoder, one query at a time
+# ---------------------------------------------------------------------------
+
+def _reference_resize(arr, h, w):
+    rows = (np.arange(h) * arr.shape[0] // h).astype(int)
+    cols = (np.arange(w) * arr.shape[1] // w).astype(int)
+    return arr[np.ix_(rows, cols)]
+
+
+def _reference_attn_row(mask_pred, threshold):
+    fg = binarize(mask_pred, threshold).ravel()
+    row = np.where(fg == 1, 0.0, -np.inf)
+    if not np.isfinite(row).any():
+        row = np.zeros_like(row)
+    return row
+
+
+def reference_stack_attn_masks(mask_preds, threshold, h, w):
+    """``attention.stack_attn_masks``, one prediction at a time."""
+    return np.stack([
+        _reference_attn_row(_reference_resize(p, h, w), threshold) for p in mask_preds
+    ])
+
+
+def _reference_layer(x, attn_mask, scale, params, layer, collect):
+    q = x @ params.f_q
+    k = scale.features @ params.f_k
+    v = scale.features @ params.f_v
+    psi = attention.click_attention_matrix(scale, q, params, attn_mask)
+    attn = attention.masked_softmax(psi + q @ k.T)
+    if collect is not None:
+        collect.append({"attn": attn, "mask": attn_mask, "layer": layer})
+    x = attn @ v + x
+    x = attention.masked_softmax((x @ params.f_q) @ (x @ params.f_k).T) @ (x @ params.f_v) + x
+    x = np.maximum(x @ params.ffn_w1 + params.ffn_b1, 0.0) @ params.ffn_w2 + params.ffn_b2 + x
+    if not np.isfinite(x).all():
+        raise ClickLabError("internal: non-finite query features after decoder block")
+    return x
+
+
+def _reference_heads(x, pixel_embed, params):
+    h = x
+    for i, (w_i, b_i) in enumerate(params.mask_head):
+        h = h @ w_i + b_i
+        if i < len(params.mask_head) - 1:
+            h = np.maximum(h, 0.0)
+    probs = expit(h @ pixel_embed.features.T)
+    cls_logits = x @ params.click_head + params.click_bias
+    cls_logits = cls_logits - cls_logits.max(axis=1, keepdims=True)
+    e = np.exp(cls_logits)
+    cls_probs = e / e.sum(axis=1, keepdims=True)
+    return [
+        matching.InstancePrediction(probs[i].reshape(pixel_embed.h, pixel_embed.w), cls_probs[i])
+        for i in range(x.shape[0])
+    ]
+
+
+def reference_camd_forward(scales, pixel_embed, params, blocks, collect=None):
+    """``attention.camd_forward`` with every query's prediction built as a
+    validated ``InstancePrediction`` at every layer and each attention-mask
+    row resized and binarized on its own."""
+    if blocks < 1:
+        raise ParameterError("blocks must be >= 1")
+    x = params.x0.copy()
+    preds = _reference_heads(x, pixel_embed, params)
+    for layer in range(3 * blocks):
+        scale = scales[layer % 3]
+        mask = reference_stack_attn_masks([p.mask_probs for p in preds], 0.5, scale.h, scale.w)
+        x = _reference_layer(x, mask, scale, params, layer, collect)
+        preds = _reference_heads(x, pixel_embed, params)
+    return preds
+
+
+# ---------------------------------------------------------------------------
+# matching costs, one validated pair at a time
+# ---------------------------------------------------------------------------
+
+def _reference_pair_cost(pred, gt, weights, afl_params):
+    weights.validate()
+    afl_params.validate()
+    p = pred.mask_probs
+    y = as_binary_mask(gt.mask)
+    pt = pt_map(p, y, afl_params.eps_clip)
+    fg = y == 1
+    hard_count = int(fg.sum())
+    fg_pt_mean = float(pt[fg].mean()) if hard_count else 1.0
+    g_a = 1.0 - fg_pt_mean if (afl_params.ada_enabled and hard_count > 0) else 0.0
+    g_d = afl_params.gamma + g_a
+    mu_val = 1.0
+    if afl_params.agr_enabled:
+        n = pt.size
+        denom = float(((1.0 - pt) ** g_d).sum() * (1.0 + afl_params.delta * g_d))
+        mu_val = n / max(denom, adaptive.MU_FLOOR_PER_PIXEL * n)
+    value_px, _ = powlog_kernel(pt, g_d, afl_params.alpha, mu_val)
+    afl_value = float(value_px.sum())
+
+    yf = y.astype(np.float64)
+    num = 2.0 * float((p * yf).sum()) + 1.0
+    den = float(p.sum() + yf.sum()) + 1.0
+    dice_value = 1.0 - num / den
+
+    mask_term = weights.lambda_afl * afl_value + weights.lambda_dice * dice_value
+    cls_term = float(-np.log(max(float(pred.click_class_probs[gt.class_index]), DEFAULT_EPS_CLIP)))
+    return weights.lambda_mask * mask_term + weights.lambda_cli * cls_term
+
+
+def reference_cost_matrix(preds, gts, weights, afl_params) -> np.ndarray:
+    """N x M matching costs, each pair evaluated on its own."""
+    cost = np.empty((len(preds), len(gts)), dtype=np.float64)
+    for i, pr in enumerate(preds):
+        for j, gt in enumerate(gts):
+            cost[i, j] = _reference_pair_cost(pr, gt, weights, afl_params)
+    return cost

@@ -6,6 +6,7 @@ import pytest
 from clicklab import attention
 from clicklab.clicksim import ClickRecord
 from clicklab.core import ParameterError, rng_stream
+from oracles import bits, reference_camd_forward, reference_stack_attn_masks
 
 
 def toy_params(n=4, d=8, seed=0):
@@ -236,3 +237,51 @@ def test_forward_validates_inputs():
     scales, embed = attention.build_feature_stack(np.ones((32, 32)), [], 8, 0)
     with pytest.raises(ParameterError):
         attention.camd_forward(scales, embed, toy_params(), 0)
+
+
+# ---------------------------------------------------------------------------
+# batched decoder against the one-query-at-a-time reference
+# ---------------------------------------------------------------------------
+
+# (height, width): 1x1 scales everywhere, 1x1 coarse scales with a larger
+# embedding, non-square images, and sizes that do not divide evenly
+REFERENCE_SIZES = [(1, 1), (3, 5), (4, 4), (7, 30), (31, 31), (32, 32), (40, 13),
+                   (64, 64), (65, 96), (128, 72)]
+
+
+def test_forward_bit_identical_to_reference_sweep():
+    rng = rng_stream(14, "test/forward_reference")
+    for case in range(40):
+        h, w = REFERENCE_SIZES[case % len(REFERENCE_SIZES)]
+        n, d, blocks = int(rng.integers(1, 13)), int(rng.integers(1, 17)), int(rng.integers(1, 4))
+        params = attention.AttentionParams.initialize(n, d, case)
+        image = rng.random((h, w))
+        clicks = [ClickRecord(int(rng.integers(0, h)), int(rng.integers(0, w)),
+                              bool(rng.random() < 0.7), i + 1)
+                  for i in range(int(rng.integers(0, 3)))]
+        scales, embed = attention.build_feature_stack(image, clicks, d, case)
+
+        got_records, want_records = [], []
+        got = attention.camd_forward(scales, embed, params, blocks, collect=got_records)
+        want = reference_camd_forward(scales, embed, params, blocks, collect=want_records)
+        assert len(got) == len(want) == n
+        for a, b in zip(got, want):
+            assert bits(a.mask_probs) == bits(b.mask_probs)
+            assert bits(a.click_class_probs) == bits(b.click_class_probs)
+        assert len(got_records) == len(want_records) == 3 * blocks
+        for a, b in zip(got_records, want_records):
+            assert a["layer"] == b["layer"]
+            assert bits(a["attn"]) == bits(b["attn"])
+            assert bits(a["mask"]) == bits(b["mask"])
+
+
+def test_attn_mask_wrappers_match_reference_rows():
+    rng = rng_stream(15, "test/stack_rows")
+    for _ in range(50):
+        n, ph, pw, h, w = (int(v) for v in rng.integers(1, 12, size=5))
+        preds = rng.random((n, ph, pw)) ** rng.uniform(0.2, 5.0)
+        preds[rng.random(n) < 0.3] = 0.1  # all-background rows reset to unmasked
+        got = attention.stack_attn_masks(list(preds), 0.5, h, w)
+        assert bits(got) == bits(reference_stack_attn_masks(preds, 0.5, h, w))
+        for p, row in zip(preds, reference_stack_attn_masks(preds, 0.5, ph, pw)):
+            assert bits(attention.attn_mask_from_pred(p, 0.5)) == bits(row)

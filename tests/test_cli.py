@@ -138,6 +138,29 @@ def test_match_malformed_cost_exit_two(capsys, tmp_path, cost):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "attention demo --hw 0 0 --seed 1",
+    "attention demo --hw 4 -3 --seed 1",
+    "attention demo --hw 4 x --seed 1",
+    "loss curve --gammas a --out {tmp}/c.csv",
+    "loss curve --gammas 9 --out {tmp}/c.csv",
+    "loss curve --gammas 0,nan --out {tmp}/c.csv",
+    "loss curve --gamma-a 0,1.5 --out {tmp}/c.csv",
+    "match --costs {tmp}/overflow.json",
+], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
+        "gammas_nan", "gamma_a_above_one", "costs_sum_overflows"])
+def test_malformed_input_exit_two(capsys, tmp_path, argv):
+    (tmp_path / "overflow.json").write_text(json.dumps([[1e308, 1e308], [1e308, 1e308]]))
+    try:
+        code = main(argv.format(tmp=tmp_path).split())
+    except SystemExit as exc:  # argparse rejects arguments with exit status 2
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_match_instances_dir(capsys, tmp_path):
     gt = np.zeros((6, 6), dtype=np.uint8)
     gt[1:4, 1:4] = 1

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from clicklab import matching
+from clicklab import adaptive, matching
 from clicklab.core import DimensionError, ParameterError, rng_stream
-from oracles import brute_force_lex_min_assignment, brute_force_min_cost
+from oracles import (bits, brute_force_lex_min_assignment, brute_force_min_cost,
+                     reference_cost_matrix)
 
 OBJECT = np.array([1.0, 0.0])
 
@@ -229,3 +231,92 @@ def test_instance_validation():
         matching.InstancePrediction(np.full((2, 2), 0.5), np.array([0.6, 0.6]))
     with pytest.raises(ParameterError):
         matching.GroundTruthInstance(square_mask(), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("cost", [
+    [[1e308, 1e308], [1e308, 1e308]],
+    [[1e308] * 3] * 2,
+    [[-1e308, -1e308], [-1e308, -1e308]],
+], ids=["square_1e308", "wide_1e308", "square_neg_1e308"])
+def test_hungarian_rejects_overflowing_optimum(cost):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="overflows"):
+            matching.hungarian(cost)
+
+
+def test_hungarian_overflowing_candidate_is_not_a_tie():
+    # forcing (0, 0) leaves a completion of 1e308, so that candidate sums past
+    # the float64 range; it must lose quietly to the optimum 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = matching.hungarian([[1e308, 1.0], [1.0, 1e308]])
+    assert m.assignment == [(0, 1), (1, 0)]
+    assert m.total_cost == 2.0
+
+
+# ---------------------------------------------------------------------------
+# batched cost matrix against the pair-at-a-time reference
+# ---------------------------------------------------------------------------
+
+def _random_instances(rng, n, m, h, w):
+    preds = []
+    for _ in range(n):
+        probs = rng.random((h, w)) ** rng.uniform(0.2, 5.0)
+        probs[rng.random((h, w)) < 0.1] = rng.choice([0.0, 1.0])  # pixels on the eps clamp
+        cls = rng.choice([0.0, 1.0]) if rng.random() < 0.2 else rng.random()
+        preds.append(matching.InstancePrediction(probs, np.array([cls, 1.0 - cls])))
+    gts = []
+    for _ in range(m):
+        mask = (rng.random((h, w)) < rng.choice([0.0, rng.random(), 1.0])).astype(np.uint8)
+        cls = OBJECT if rng.random() < 0.8 else np.array([0.0, 1.0])
+        gts.append(matching.GroundTruthInstance(mask, cls))
+    return preds, gts
+
+
+def _random_params(rng, case):
+    weights, afl_params = matching.LossWeights(), adaptive.AflParams()
+    if case % 3 == 1:
+        weights = matching.LossWeights(*(float(v) for v in rng.uniform(0.0, 3.0, size=5)))
+    if case % 2 == 1:
+        afl_params = adaptive.AflParams(
+            gamma=float(rng.uniform(0.0, 5.0)), alpha=float(rng.uniform(0.0, 2.0)),
+            delta=float(rng.random()), ada_enabled=bool(rng.random() < 0.5),
+            agr_enabled=bool(rng.random() < 0.5), eps_clip=float(rng.choice([1e-7, 1e-3])))
+    return weights, afl_params
+
+
+def test_cost_matrix_and_total_loss_match_reference_sweep(monkeypatch):
+    rng = rng_stream(37, "test/cost_matrix")
+    # wide, tall and square N x M, plus empty gts
+    shapes = [(1, 1), (1, 5), (6, 1), (3, 3), (7, 2), (2, 7), (4, 0), (1, 0)]
+    for case in range(64):
+        n, m = shapes[case % len(shapes)]
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        preds, gts = _random_instances(rng, n, m, h, w)
+        weights, afl_params = _random_params(rng, case)
+
+        want_cost = reference_cost_matrix(preds, gts, weights, afl_params)
+        if gts:
+            got_cost = matching._cost_matrix(preds, gts, weights, afl_params)
+            assert bits(got_cost) == bits(want_cost)
+        for i, pr in enumerate(preds):
+            for j, gt in enumerate(gts):
+                got_pair = matching.pair_cost(pr, gt, weights, afl_params)
+                assert repr(got_pair) == repr(float(want_cost[i, j]))
+
+        got = matching.total_loss(preds, gts, weights, afl_params)
+        with monkeypatch.context() as patched:
+            patched.setattr(matching, "_cost_matrix", reference_cost_matrix)
+            want = matching.total_loss(preds, gts, weights, afl_params)
+        assert repr(got) == repr(want)
+
+
+def test_cost_matrix_rejects_mixed_shapes():
+    pred = matching.InstancePrediction(np.full((4, 4), 0.5), OBJECT)
+    gts = [matching.GroundTruthInstance(square_mask(4, 4), OBJECT),
+           matching.GroundTruthInstance(square_mask(4, 5), OBJECT)]
+    with pytest.raises(DimensionError):
+        matching.total_loss([pred], gts)
+    with pytest.raises(DimensionError):
+        matching.pair_cost(pred, gts[1])
