@@ -82,10 +82,7 @@ class AflDiagnostics:
 def gamma_a(pred, gt, eps_clip: float = DEFAULT_EPS_CLIP) -> float:
     """1 - mean(pt) over foreground pixels; 0 when the map has no foreground."""
     pt = pt_map(pred, gt, eps_clip)
-    fg = as_binary_mask(gt) == 1
-    if not fg.any():
-        return 0.0
-    return float(1.0 - pt[fg].mean())
+    return _afl_coeffs(pt, as_binary_mask(gt) == 1, AflParams(agr_enabled=False)).gamma_a
 
 
 def mu(pt, gamma_d: float, delta: float) -> float:
@@ -139,18 +136,14 @@ def _afl_coeffs(pt: np.ndarray, fg: np.ndarray, params: AflParams) -> AflDiagnos
     return AflDiagnostics(g_a, g_d, mu_val, hard_count, fg_pt_mean)
 
 
-def afl_value_with_coeffs(pred, gt, gamma_d: float, mu_val: float, alpha: float,
-                          eps_clip: float = DEFAULT_EPS_CLIP,
-                          reduction: str = "sum") -> float:
-    """Loss value with gamma_d and mu frozen at the given numbers.
+def afl_value_with_coeffs(pred, gt, gamma_d: float, mu_val: float, alpha: float) -> float:
+    """Summed loss value with gamma_d and mu frozen at the given numbers.
 
     This is the function whose finite differences the detached analytic
     gradient must reproduce.
     """
-    pt, _ = _pt_and_chain(pred, gt, eps_clip)
+    pt, _ = _pt_and_chain(pred, gt, DEFAULT_EPS_CLIP)
     value_px, _ = powlog_kernel(pt, gamma_d, alpha, mu_val, grad=False)
-    if reduction == "mean":
-        return float(value_px.sum() / value_px.size)
     return float(value_px.sum())
 
 

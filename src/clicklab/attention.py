@@ -9,20 +9,22 @@ click-to-query information flow.  One block applies, in order:
 2. self-attention over the queries (same projections);
 3. a two-layer feed-forward update.
 
-``psi`` is built from the scale's click map: a 3x3 max pool, a bias-free
-linear lift to the feature dimension, a product with the rectified queries,
-and an elementwise affine map.  Attention masks come from binarizing each
-query's current mask prediction; a fully masked row is reset to unmasked
-before softmax, which keeps every row a valid distribution.
+``psi`` is built from the scale's click map: a 3x3 max pool (taken once,
+when the ScaleFeatures is built), a bias-free linear lift to the feature
+dimension, a product with the rectified queries, and an elementwise affine
+map.  Attention masks come from binarizing each query's current mask
+prediction; a fully masked row is reset to unmasked before softmax, which
+keeps every row a valid distribution.
 
-A forward pass cycles the blocks over three coarse-to-fine scales, with the
-N queries' mask logits kept as one (N, h, w) array as in Mask2Former; only
-the final masks and click-class probabilities become InstancePredictions.
+A forward pass cycles the blocks over three coarse-to-fine scales.  As in
+Mask2Former the per-layer state is plain arrays: the (N, d) queries and the
+N mask logits as one (N, h, w) array; only the final masks and click-class
+probabilities become InstancePredictions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
@@ -42,6 +44,7 @@ class ScaleFeatures:
     click_map: np.ndarray  # (h, w), positive disks +1, negative -1
     h: int
     w: int
+    pooled: np.ndarray = field(init=False, repr=False, compare=False)  # (h*w, 1)
 
     def __post_init__(self):
         if self.features.shape[0] != self.h * self.w:
@@ -50,11 +53,13 @@ class ScaleFeatures:
         if self.click_map.shape != (self.h, self.w):
             raise DimensionError(
                 f"click map shape {self.click_map.shape} != ({self.h}, {self.w})")
+        # the 3x3 max pool psi lifts; every layer on this scale reads it
+        self.pooled = ndimage.maximum_filter(
+            self.click_map, size=3, mode="constant", cval=0.0).reshape(-1, 1)
 
 
 @dataclass
 class AttentionParams:
-    n_queries: int
     dim: int
     f_q: np.ndarray        # (d, d)
     f_k: np.ndarray        # (d, d)
@@ -70,7 +75,6 @@ class AttentionParams:
     ffn_w2: np.ndarray     # (2d, d)
     ffn_b2: np.ndarray
     x0: np.ndarray         # (N, d) initial query features
-    seed: int
 
     @classmethod
     def initialize(cls, n_queries: int = 10, dim: int = 16, seed: int = 0) -> "AttentionParams":
@@ -83,7 +87,6 @@ class AttentionParams:
             return rng_stream(seed, f"attention/params/{label}").uniform(-bound, bound, size=shape)
 
         return cls(
-            n_queries=n_queries,
             dim=dim,
             f_q=u("f_q", dim, dim),
             f_k=u("f_k", dim, dim),
@@ -100,16 +103,7 @@ class AttentionParams:
             ffn_w2=u("ffn_w2", 2 * dim, dim),
             ffn_b2=u("ffn_b2", dim),
             x0=u("x0", n_queries, dim),
-            seed=seed,
         )
-
-
-@dataclass
-class AttentionState:
-    x: np.ndarray           # (N, d)
-    psi_matrix: np.ndarray  # (N, h*w); -inf exactly where attn_mask is -inf
-    attn_mask: np.ndarray   # (N, h*w) over {0, -inf}
-    layer_index: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +152,7 @@ def click_attention_matrix(scale: ScaleFeatures, queries: np.ndarray,
     if attn_mask.shape != (queries.shape[0], scale.h * scale.w):
         raise DimensionError(
             f"attn_mask shape {attn_mask.shape} != ({queries.shape[0]}, {scale.h * scale.w})")
-    pooled = ndimage.maximum_filter(scale.click_map, size=3, mode="constant", cval=0.0)
-    lifted = pooled.reshape(-1, 1) * params.omega_f.reshape(1, -1)  # (hw, d)
+    lifted = scale.pooled * params.omega_f.reshape(1, -1)  # (hw, d)
     raw = np.maximum(queries, 0.0) @ lifted.T                       # (N, hw)
     psi = params.psi_scale * raw + params.psi_bias
     return np.where(np.isneginf(attn_mask), -np.inf, psi)
@@ -182,22 +175,23 @@ def masked_cross_attention(x, psi, q, k, v, need_weights: bool = False):
     return (out, weights) if need_weights else out
 
 
-def camd_layer(state: AttentionState, scale: ScaleFeatures,
-               params: AttentionParams, collect: list | None = None) -> AttentionState:
-    """One decoder block: clicks-aware cross-attention, self-attention, FFN."""
-    q = state.x @ params.f_q
-    psi = click_attention_matrix(scale, q, params, state.attn_mask)
+def camd_layer(x: np.ndarray, attn_mask: np.ndarray, scale: ScaleFeatures,
+               params: AttentionParams, collect: list | None = None,
+               layer: int = 0) -> np.ndarray:
+    """One decoder block on the (N, d) queries under an (N, h*w) {0, -inf}
+    mask: clicks-aware cross-attention, self-attention, FFN."""
+    q = x @ params.f_q
+    psi = click_attention_matrix(scale, q, params, attn_mask)
     x, attn = masked_cross_attention(
-        state.x, psi, q, scale.features @ params.f_k, scale.features @ params.f_v,
-        need_weights=True)
+        x, psi, q, scale.features @ params.f_k, scale.features @ params.f_v, need_weights=True)
     if collect is not None:
-        collect.append({"attn": attn, "mask": state.attn_mask, "layer": state.layer_index})
+        collect.append({"attn": attn, "mask": attn_mask, "layer": layer})
 
     x = masked_cross_attention(x, 0.0, x @ params.f_q, x @ params.f_k, x @ params.f_v)
     x = np.maximum(x @ params.ffn_w1 + params.ffn_b1, 0.0) @ params.ffn_w2 + params.ffn_b2 + x
     if not np.isfinite(x).all():
         raise ClickLabError("internal: non-finite query features after decoder block")
-    return AttentionState(x, psi, state.attn_mask, state.layer_index + 1)
+    return x
 
 
 def _mask_logits(x: np.ndarray, pixel_embed: ScaleFeatures, params: AttentionParams) -> np.ndarray:
@@ -241,8 +235,7 @@ def camd_forward(scales, pixel_embed: ScaleFeatures, params: AttentionParams,
         scale = scales[layer % 3]
         # the logistic is elementwise, so only the resized logits need it
         logits = resize_nearest(_mask_logits(x, pixel_embed, params), scale.h, scale.w)
-        mask = _attn_rows(expit(logits), 0.5)
-        x = camd_layer(AttentionState(x, mask, mask, layer), scale, params, collect).x
+        x = camd_layer(x, _attn_rows(expit(logits), 0.5), scale, params, collect, layer)
     return predict_heads(x, pixel_embed, params)
 
 
@@ -250,15 +243,14 @@ def camd_forward(scales, pixel_embed: ScaleFeatures, params: AttentionParams,
 # toy feature stack (stand-in for the multi-scale pixel decoder)
 # ---------------------------------------------------------------------------
 
-def build_feature_stack(image: np.ndarray, clicks, dim: int, seed: int,
-                        radius: float = DEFAULT_CLICK_RADIUS):
+def build_feature_stack(image: np.ndarray, clicks, dim: int, seed: int):
     """Seeded random projections of the click-augmented image at 4 scales.
 
     Returns ``(scales, pixel_embed)`` where scales run coarse to fine at
     1/32, 1/16 and 1/8 of the image and the pixel embedding sits at 1/4.
     Per-pixel channels are (intensity, positive clicks, negative clicks,
     row fraction, col fraction), lifted to ``dim`` by one random matrix per
-    scale; click disks shrink with the scale ratio.
+    scale; click disks of the default radius shrink with the scale ratio.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
@@ -272,7 +264,7 @@ def build_feature_stack(image: np.ndarray, clicks, dim: int, seed: int,
             replace(c, row=min(h - 1, c.row * h // full_h), col=min(w - 1, c.col * w // full_w))
             for c in clicks
         ]
-        r = max(1.0, radius * h / full_h)
+        r = max(1.0, DEFAULT_CLICK_RADIUS * h / full_h)
         pos, neg = encode_clicks(scaled_clicks, h, w, radius=r)
         small = resize_nearest(img, h, w)
         rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)

@@ -127,11 +127,10 @@ def cmd_identity_check(args) -> int:
 
         off = adaptive.AflParams(gamma, alpha, delta, ada_enabled=False, agr_enabled=False)
         afl_out, _ = adaptive.afl(pred, gt, off)
+        poly = losses.poly(pred, gt, gamma, alpha)
         ladder_gap["poly"] = max(
-            ladder_gap["poly"],
-            abs(afl_out.value - losses.poly(pred, gt, gamma, alpha).value),
-            float(np.abs(afl_out.grad_wrt_prob
-                         - losses.poly(pred, gt, gamma, alpha).grad_wrt_prob).max()))
+            ladder_gap["poly"], abs(afl_out.value - poly.value),
+            float(np.abs(afl_out.grad_wrt_prob - poly.grad_wrt_prob).max()))
         p0 = losses.poly(pred, gt, gamma, 0.0)
         f0 = losses.focal(pred, gt, gamma)
         ladder_gap["focal"] = max(
@@ -350,8 +349,7 @@ def cmd_train_demo(args) -> int:
     sample = synthgen.generate(spec)
     config = trainer.TrainConfig(
         loss=args.loss, loss_params=_loss_params_from_args(args), steps=args.steps,
-        learning_rate=args.lr, optimizer=args.optimizer, seed=args.seed,
-        instance_index=args.instance)
+        learning_rate=args.lr, optimizer=args.optimizer, instance_index=args.instance)
     model, logs = trainer.train(sample, config)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_json(os.path.join(args.out, "model.json"), model.to_json())
@@ -392,6 +390,8 @@ def _iter_noc_samples(args):
 
 def _parse_predictor(kind: str, radius: float):
     """Turn a ``--predictor`` spec into a ``(gt, seed) -> predictor`` factory."""
+    if not radius >= 1:  # the oracle never draws a disk, so check for every predictor
+        raise ParameterError(f"radius must be >= 1, got {radius}")
     if kind == "oracle":
         return lambda gt, seed: clicksim.OraclePredictor(gt)
     if kind.startswith("noisy:"):
@@ -553,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--optimizer", choices=("sgd", "adam"), default="adam")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instance", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train_demo)

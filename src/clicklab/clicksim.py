@@ -28,6 +28,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import (
+    DimensionError,
     ParameterError,
     PerfectPredictionError,
     as_binary_mask,
@@ -203,15 +204,20 @@ class NoisyOraclePredictor:
 
 
 class TrainedPredictor:
-    """Wraps anything with ``predict_probs(stacked_channels)``; clicks are
-    appended to the feature stack as a positive and a negative disk map."""
+    """Wraps a model with one weight per stacked channel and
+    ``predict_probs(stacked_channels)``; clicks are appended to the feature
+    stack as a positive and a negative disk map."""
 
     def __init__(self, model, radius: float = DEFAULT_CLICK_RADIUS):
         self.model = model
         self.radius = radius
 
     def predict(self, features, clicks):
-        h, w = features.shape[:2]
+        h, w, channels = features.shape
+        if len(self.model.weights) != channels + 2:
+            raise DimensionError(
+                f"model has {len(self.model.weights)} weights, expected {channels} feature "
+                "channels + 2 click channels")
         pos, neg = encode_clicks(clicks, h, w, radius=self.radius)
         stacked = np.concatenate([features, pos[..., None], neg[..., None]], axis=-1)
         return self.model.predict_probs(stacked)

@@ -37,6 +37,14 @@ def atomic_write_json(path: str, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
+def _parse_tokens(convert, tokens, where: str) -> list:
+    """``convert`` every token; a malformed one is an input error."""
+    try:
+        return [convert(t) for t in tokens]
+    except ValueError as exc:
+        raise ParameterError(f"{where}: {exc}") from None
+
+
 def write_pgm(path: str, mask) -> None:
     arr = as_binary_mask(mask)
     h, w = arr.shape
@@ -58,13 +66,15 @@ def read_pgm(path: str) -> np.ndarray:
         raise ParameterError(f"{path}: not an ASCII PGM (expected magic P2)")
     if len(tokens) < 4:
         raise ParameterError(f"{path}: truncated PGM header")
-    w, h, maxval = (int(t) for t in tokens[1:4])
+    w, h, maxval = _parse_tokens(int, tokens[1:4], path)
+    if w < 1 or h < 1:
+        raise ParameterError(f"{path}: PGM size must be positive, got {w}x{h}")
     if maxval != 255:
         raise ParameterError(f"{path}: expected maxval 255, got {maxval}")
     values = tokens[4:]
     if len(values) != h * w:
         raise ParameterError(f"{path}: expected {h * w} pixels, found {len(values)}")
-    arr = np.array([int(v) for v in values], dtype=np.int64).reshape(h, w)
+    arr = np.array(_parse_tokens(int, values, path), dtype=np.int64).reshape(h, w)
     bad = ~np.isin(arr, (0, 255))
     if bad.any():
         raise ParameterError(f"{path}: pixels must be 0 or 255, found {arr[bad][:4]}")
@@ -85,7 +95,7 @@ def read_pm(path: str) -> np.ndarray:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "PM":
             raise ParameterError(f"{path}: expected header 'PM <height> <width>'")
-        h, w = int(header[1]), int(header[2])
+        h, w = _parse_tokens(int, header[1:], path)
         rows = []
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -93,7 +103,7 @@ def read_pm(path: str) -> np.ndarray:
             vals = line.split()
             if len(vals) != w:
                 raise ParameterError(f"{path}:{line_no}: expected {w} values, found {len(vals)}")
-            rows.append([float(v) for v in vals])
+            rows.append(_parse_tokens(float, vals, f"{path}:{line_no}"))
     if len(rows) != h:
         raise ParameterError(f"{path}: expected {h} rows, found {len(rows)}")
     return as_prob_map(np.array(rows, dtype=np.float64))

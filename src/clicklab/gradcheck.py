@@ -26,20 +26,20 @@ DEFAULT_ATOL = 1e-7
 CHECKED_LOSSES = ("bce", "wbce", "balanced_ce", "soft_iou", "focal", "nfl", "poly", "dice", "afl")
 
 
-def central_difference_grad(value_fn, prob: np.ndarray, h: float = DEFAULT_H) -> np.ndarray:
-    """Per-pixel (V(p+h) - V(p-h)) / 2h, one pixel at a time."""
+def central_difference_grad(value_fn, prob: np.ndarray) -> np.ndarray:
+    """Per-pixel (V(p+h) - V(p-h)) / 2h with h = DEFAULT_H, one pixel at a time."""
     grad = np.zeros_like(prob)
     flat = grad.ravel()
     base = prob.copy()
     view = base.ravel()
     for i in range(view.size):
         orig = view[i]
-        view[i] = orig + h
+        view[i] = orig + DEFAULT_H
         up = value_fn(base)
-        view[i] = orig - h
+        view[i] = orig - DEFAULT_H
         down = value_fn(base)
         view[i] = orig
-        flat[i] = (up - down) / (2.0 * h)
+        flat[i] = (up - down) / (2.0 * DEFAULT_H)
     return grad
 
 
@@ -93,8 +93,7 @@ def _analytic_and_frozen(name: str, pred, gt, params):
     return out.grad_wrt_prob, lambda p: fn(p, gt).value
 
 
-def check_loss_gradients(name: str, cases: int, seed: int, h: float = DEFAULT_H,
-                         rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> dict:
+def check_loss_gradients(name: str, cases: int, seed: int) -> dict:
     """Run ``cases`` seeded random configurations for one loss."""
     if name not in CHECKED_LOSSES:
         raise ParameterError(f"no gradient check defined for loss {name!r}")
@@ -103,19 +102,17 @@ def check_loss_gradients(name: str, cases: int, seed: int, h: float = DEFAULT_H,
     for _ in range(cases):
         pred, gt, params = _random_case(rng, name)
         analytic, value_fn = _analytic_and_frozen(name, pred, gt, params)
-        fd = central_difference_grad(value_fn, pred, h)
-        rel = np.abs(analytic - fd) / (atol / rtol + np.abs(fd))
+        fd = central_difference_grad(value_fn, pred)
+        rel = np.abs(analytic - fd) / (DEFAULT_ATOL / DEFAULT_RTOL + np.abs(fd))
         worst = max(worst, float(rel.max()))
     return {
         "loss": name,
         "cases": cases,
         "max_rel_err": worst,
-        "tolerance": rtol,
-        "pass": worst <= rtol,
+        "tolerance": DEFAULT_RTOL,
+        "pass": worst <= DEFAULT_RTOL,
     }
 
 
-def run_suite(loss_names=CHECKED_LOSSES, cases: int = 100, seed: int = 0,
-              h: float = DEFAULT_H, rtol: float = DEFAULT_RTOL,
-              atol: float = DEFAULT_ATOL) -> list[dict]:
-    return [check_loss_gradients(n, cases, seed, h, rtol, atol) for n in loss_names]
+def run_suite(loss_names=CHECKED_LOSSES, cases: int = 100, seed: int = 0) -> list[dict]:
+    return [check_loss_gradients(n, cases, seed) for n in loss_names]

@@ -26,6 +26,7 @@ import numpy as np
 from .core import GenerationError, ParameterError, as_prob_map, check_same_shape, pt_map, rng_stream
 
 SHAPE_KINDS = ("disk", "ellipse", "blob")
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}  # by field annotation
 MAX_PLACEMENT_TRIES = 200
 
 
@@ -46,8 +47,8 @@ class SynthSpec:
             raise ParameterError("n_instances must be >= 1")
         if self.shape_kind not in SHAPE_KINDS:
             raise ParameterError(f"shape_kind must be one of {SHAPE_KINDS}")
-        if self.boundary_noise < 0.0:
-            raise ParameterError("boundary_noise must be >= 0")
+        if not 0.0 <= self.boundary_noise < np.inf:
+            raise ParameterError(f"boundary_noise must be finite and >= 0, got {self.boundary_noise}")
         if self.nesting and self.n_instances < 2:
             raise ParameterError("nesting requires n_instances >= 2")
         return self
@@ -59,10 +60,17 @@ class SynthSpec:
     def from_json(cls, obj) -> "SynthSpec":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ParameterError(f"spec must be a JSON object, got {type(obj).__name__}")
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        extra = set(obj) - set(kinds)
         if extra:
             raise ParameterError(f"unknown spec fields: {sorted(extra)}")
+        for name, value in obj.items():
+            # bool is an int subclass, so it needs its own test both ways
+            if (not isinstance(value, _JSON_TYPES[kinds[name]])
+                    or isinstance(value, bool) != (kinds[name] == "bool")):
+                raise ParameterError(f"spec field {name!r} must be {kinds[name]}, got {value!r}")
         return cls(**obj).validate()
 
 

@@ -11,7 +11,7 @@ deterministic function of (sample, config).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -46,7 +46,14 @@ class PixelModel:
     def from_json(cls, obj) -> "PixelModel":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return cls(np.asarray(obj["weights"], dtype=np.float64), float(obj["bias"]))
+        try:
+            weights = np.asarray(obj["weights"], dtype=np.float64)
+            bias = float(obj["bias"])
+        except (TypeError, ValueError):
+            raise ParameterError("model weights and bias must be numbers") from None
+        if weights.ndim != 1 or not np.isfinite(weights).all() or not np.isfinite(bias):
+            raise ParameterError("model weights must be a flat list of finite numbers, bias finite")
+        return cls(weights, bias)
 
 
 @dataclass(frozen=True)
@@ -56,9 +63,7 @@ class TrainConfig:
     steps: int = 500
     learning_rate: float = 0.5
     optimizer: str = "adam"
-    seed: int = 0
     instance_index: int = 0
-    click_radius: float = DEFAULT_CLICK_RADIUS
 
     def validate(self) -> "TrainConfig":
         if self.steps < 1:
@@ -103,7 +108,7 @@ def train(sample: SynthSample, config: TrainConfig = TrainConfig()):
     if not (0 <= config.instance_index < len(sample.gt_instances)):
         raise ParameterError(f"instance_index {config.instance_index} out of range")
     gt = sample.gt_instances[config.instance_index]
-    channels = training_channels(sample, gt, config.click_radius)
+    channels = training_channels(sample, gt, DEFAULT_CLICK_RADIUS)
     loss_fn = make_loss(config.loss, **config.loss_params)
 
     n_params = channels.shape[-1] + 1
@@ -154,12 +159,7 @@ def compare_losses(sample: SynthSample, loss_specs, config: TrainConfig = TrainC
     rows = []
     for entry in loss_specs:
         name, params = entry if isinstance(entry, tuple) else (entry, {})
-        run_cfg = TrainConfig(
-            loss=name, loss_params=params, steps=config.steps,
-            learning_rate=config.learning_rate, optimizer=config.optimizer,
-            seed=config.seed, instance_index=config.instance_index,
-            click_radius=config.click_radius)
-        model, logs = train(sample, run_cfg)
+        model, logs = train(sample, replace(config, loss=name, loss_params=params))
         label = name if not params else f"{name}({','.join(f'{k}={v}' for k, v in sorted(params.items()))})"
         rows.append({
             "label": label,

@@ -107,10 +107,9 @@ def test_camd_layer_identical_queries_identical_outputs():
     params = toy_params()
     scale = toy_scale(4, 4, 8, clicks=[ClickRecord(1, 2, True, 1)])
     x = np.tile(rng_stream(6, "test/same").uniform(-1, 1, size=(1, 8)), (4, 1))
-    state = attention.AttentionState(x, np.zeros((4, 16)), np.zeros((4, 16)), 0)
-    out = attention.camd_layer(state, scale, params)
-    for row in out.x[1:]:
-        np.testing.assert_array_equal(row, out.x[0])
+    out = attention.camd_layer(x, np.zeros((4, 16)), scale, params)
+    for row in out[1:]:
+        np.testing.assert_array_equal(row, out[0])
 
 
 def test_camd_layer_reset_row_equals_unmasked_row():
@@ -126,12 +125,9 @@ def test_camd_layer_reset_row_equals_unmasked_row():
     np.testing.assert_array_equal(mask[1], np.zeros(16))
 
     free_attn: list = []
-    free_state = attention.AttentionState(x, np.zeros((4, 16)), np.zeros((4, 16)), 0)
-    attention.camd_layer(free_state, scale, params, collect=free_attn)
+    attention.camd_layer(x, np.zeros((4, 16)), scale, params, collect=free_attn)
     masked_attn: list = []
-    masked_state = attention.AttentionState(
-        x, np.where(np.isneginf(mask), -np.inf, 0.0), mask, 0)
-    attention.camd_layer(masked_state, scale, params, collect=masked_attn)
+    attention.camd_layer(x, mask, scale, params, collect=masked_attn)
     np.testing.assert_array_equal(masked_attn[0]["attn"][1], free_attn[0]["attn"][1])
 
 
@@ -143,8 +139,7 @@ def test_camd_layer_rows_sum_to_one_with_masks():
     mask[0, :8] = -np.inf
     mask[2, 1:] = -np.inf
     collected = []
-    state = attention.AttentionState(x, np.where(np.isneginf(mask), -np.inf, 0.0), mask, 0)
-    attention.camd_layer(state, scale, params, collect=collected)
+    attention.camd_layer(x, mask, scale, params, collect=collected)
     attn = collected[0]["attn"]
     np.testing.assert_allclose(attn.sum(axis=1), np.ones(4), atol=1e-9)
     assert attn[0, :8].max() == 0.0
@@ -285,3 +280,20 @@ def test_attn_mask_wrappers_match_reference_rows():
         assert bits(got) == bits(reference_stack_attn_masks(preds, 0.5, h, w))
         for p, row in zip(preds, reference_stack_attn_masks(preds, 0.5, ph, pw)):
             assert bits(attention.attn_mask_from_pred(p, 0.5)) == bits(row)
+
+
+def test_click_map_pooled_once_per_scale(monkeypatch):
+    calls = []
+    real = attention.ndimage.maximum_filter
+    monkeypatch.setattr(attention.ndimage, "maximum_filter",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    params = attention.AttentionParams.initialize(4, 8, 16)
+    image = rng_stream(16, "test/pool_once").random((64, 64))
+    scales, embed = attention.build_feature_stack(image, [ClickRecord(20, 30, True, 1)], 8, 16)
+    first = attention.camd_forward(scales, embed, params, 3)
+    assert len(calls) <= 4  # one per ScaleFeatures, not one per layer
+    pooled = len(calls)
+    again = attention.camd_forward(scales, embed, params, 3)
+    assert len(calls) == pooled
+    for a, b in zip(first, again):
+        assert bits(a.mask_probs) == bits(b.mask_probs)

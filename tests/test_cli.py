@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import clicklab
-from clicklab.cli import main
+from clicklab.cli import build_parser, main
 from clicklab.fileio import read_pm, write_pgm, write_pm
 
 
@@ -138,6 +139,32 @@ def test_match_malformed_cost_exit_two(capsys, tmp_path, cost):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# inputs of test_malformed_input_exit_two, written to its tmp_path
+MALFORMED_FILES = {
+    "overflow.json": json.dumps([[1e308, 1e308], [1e308, 1e308]]),
+    "ok.pm": "PM 1 2\n0.5 0.5\n",
+    "ok.pgm": "P2\n2 1\n255\n0 255\n",
+    "pixel_text.pgm": "P2\n2 1\n255\n0 x\n",
+    "header_text.pgm": "P2\n2 y\n255\n0 255\n",
+    "negative_size.pgm": "P2\n-1 -1\n255\n0\n",
+    "value_text.pm": "PM 1 2\n0.5 abc\n",
+    "header_text.pm": "PM 1 z\n0.5 0.5\n",
+    "spec.json": json.dumps({"height": 24, "width": 24, "seed": 1}),
+    "height_text.json": json.dumps({"height": "64"}),
+    "nesting_text.json": json.dumps({"n_instances": 2, "nesting": "yes"}),
+    "noise_text.json": json.dumps({"boundary_noise": "abc"}),
+    "noise_nan.json": json.dumps({"boundary_noise": float("nan")}),
+    "seed_text.json": json.dumps({"seed": "1"}),
+    "spec_not_object.json": "5",
+    "three_weights.json": json.dumps({"weights": [0.0, 0.0, 0.0], "bias": 0.0}),
+    "text_weight.json": json.dumps({"weights": ["a"] * 6, "bias": 0.0}),
+    "nan_weight.json": json.dumps({"weights": [float("nan")] * 6, "bias": 0.0}),
+    "nested_weights.json": json.dumps({"weights": [[0.0] * 6], "bias": 0.0}),
+    "text_bias.json": json.dumps({"weights": [0.0] * 6, "bias": "b"}),
+}
+NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out {tmp}/t.json "
+
+
 @pytest.mark.parametrize("argv", [
     "attention demo --hw 0 0 --seed 1",
     "attention demo --hw 4 -3 --seed 1",
@@ -147,10 +174,35 @@ def test_match_malformed_cost_exit_two(capsys, tmp_path, cost):
     "loss curve --gammas 0,nan --out {tmp}/c.csv",
     "loss curve --gamma-a 0,1.5 --out {tmp}/c.csv",
     "match --costs {tmp}/overflow.json",
+    "loss eval --pred {tmp}/ok.pm --gt {tmp}/pixel_text.pgm --loss bce",
+    "loss eval --pred {tmp}/ok.pm --gt {tmp}/header_text.pgm --loss bce",
+    "loss eval --pred {tmp}/ok.pm --gt {tmp}/negative_size.pgm --loss bce",
+    "loss eval --pred {tmp}/value_text.pm --gt {tmp}/ok.pgm --loss bce",
+    "loss eval --pred {tmp}/header_text.pm --gt {tmp}/ok.pgm --loss bce",
+    "synth gen --spec {tmp}/height_text.json --out {tmp}/d",
+    "synth gen --spec {tmp}/nesting_text.json --out {tmp}/d",
+    "synth gen --spec {tmp}/noise_text.json --out {tmp}/d",
+    "synth gen --spec {tmp}/noise_nan.json --out {tmp}/d",
+    "synth gen --spec {tmp}/seed_text.json --out {tmp}/d",
+    "synth gen --spec {tmp}/spec_not_object.json --out {tmp}/d",
+    "noc run --predictor oracle --dataset synth:{tmp}/height_text.json --seed 1 --out {tmp}/t.json",
+    "noc run --predictor oracle --dataset synth:{tmp}/nesting_text.json --seed 1 --out {tmp}/t.json",
+    NOC_TRAINED + "--predictor trained:{tmp}/three_weights.json",
+    NOC_TRAINED + "--predictor trained:{tmp}/text_weight.json",
+    NOC_TRAINED + "--predictor trained:{tmp}/nan_weight.json",
+    NOC_TRAINED + "--predictor trained:{tmp}/nested_weights.json",
+    NOC_TRAINED + "--predictor trained:{tmp}/text_bias.json",
+    "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run --seed 1",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
-        "gammas_nan", "gamma_a_above_one", "costs_sum_overflows"])
+        "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
+        "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
+        "pm_header_text", "synth_height_text", "synth_nesting_text", "synth_noise_text",
+        "synth_noise_nan", "synth_seed_text", "synth_spec_not_object", "noc_height_text",
+        "noc_nesting_text", "model_three_weights", "model_text_weight", "model_nan_weight",
+        "model_nested_weights", "model_text_bias", "train_seed_removed"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
-    (tmp_path / "overflow.json").write_text(json.dumps([[1e308, 1e308], [1e308, 1e308]]))
+    for name, text in MALFORMED_FILES.items():
+        (tmp_path / name).write_text(text)
     try:
         code = main(argv.format(tmp=tmp_path).split())
     except SystemExit as exc:  # argparse rejects arguments with exit status 2
@@ -250,10 +302,13 @@ def noc_spec(tmp_path):
     return f"synth:{spec_path}"
 
 
-@pytest.mark.parametrize("radius, code", [("nan", 2), ("0.5", 2), ("inf", 0)])
-def test_noc_radius_validated(capsys, tmp_path, noc_spec, radius, code):
+@pytest.mark.parametrize("predictor, radius, code", [
+    ("noisy:0.05", "nan", 2), ("noisy:0.05", "0.5", 2), ("noisy:0.05", "inf", 0),
+    ("oracle", "nan", 2),
+], ids=["nan-2", "0.5-2", "inf-0", "oracle-nan-2"])
+def test_noc_radius_validated(capsys, tmp_path, noc_spec, predictor, radius, code):
     out = tmp_path / "t.json"
-    assert main(["noc", "run", "--predictor", "noisy:0.05", "--dataset", noc_spec, "--seed", "1",
+    assert main(["noc", "run", "--predictor", predictor, "--dataset", noc_spec, "--seed", "1",
                  "--count", "1", "--radius", radius, "--out", str(out)]) == code
     err = capsys.readouterr().err
     if code == 2:
@@ -299,6 +354,18 @@ def test_noc_trained_model_read_once(capsys, tmp_path, noc_spec, monkeypatch):
     assert code == 0
     assert report["results"]["aggregate"]["samples"] == 3
     assert len(loads) == 1
+
+
+def test_readme_cli_examples_parse():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        examples = [line for line in fh if line.startswith("clicklab ")]
+    assert len(examples) >= 10
+    parser = build_parser()
+    for line in examples:
+        argv = shlex.split(line, comments=True)[1:]
+        args = parser.parse_args(argv)  # an unknown flag exits 2
+        assert args.handler.__name__.startswith("cmd_"), line
 
 
 def test_report_reproducible_for_same_seed(capsys):
