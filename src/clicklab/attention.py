@@ -9,8 +9,8 @@ click-to-query information flow.  One block applies, in order:
 2. self-attention over the queries (same projections);
 3. a two-layer feed-forward update.
 
-``psi`` is built from the scale's click map: a 3x3 max pool (taken once,
-when the ScaleFeatures is built), a bias-free linear lift to the feature
+``psi`` is built from the scale's click map: a 3x3 max pool (taken on the
+first read, once per ScaleFeatures), a bias-free linear lift to the feature
 dimension, a product with the rectified queries, and an elementwise affine
 map.  Attention masks come from binarizing each query's current mask
 prediction; a fully masked row is reset to unmasked before softmax, which
@@ -24,7 +24,8 @@ probabilities become InstancePredictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -44,7 +45,6 @@ class ScaleFeatures:
     click_map: np.ndarray  # (h, w), positive disks +1, negative -1
     h: int
     w: int
-    pooled: np.ndarray = field(init=False, repr=False, compare=False)  # (h*w, 1)
 
     def __post_init__(self):
         if self.features.shape[0] != self.h * self.w:
@@ -53,8 +53,11 @@ class ScaleFeatures:
         if self.click_map.shape != (self.h, self.w):
             raise DimensionError(
                 f"click map shape {self.click_map.shape} != ({self.h}, {self.w})")
-        # the 3x3 max pool psi lifts; every layer on this scale reads it
-        self.pooled = ndimage.maximum_filter(
+
+    @cached_property
+    def pooled(self) -> np.ndarray:
+        """(h*w, 1) 3x3 max pool of the click map, taken on first read."""
+        return ndimage.maximum_filter(
             self.click_map, size=3, mode="constant", cval=0.0).reshape(-1, 1)
 
 

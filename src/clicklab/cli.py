@@ -126,21 +126,12 @@ def cmd_identity_check(args) -> int:
         delta = float(rng.uniform(0.0, 1.0))
 
         off = adaptive.AflParams(gamma, alpha, delta, ada_enabled=False, agr_enabled=False)
-        afl_out, _ = adaptive.afl(pred, gt, off)
-        poly = losses.poly(pred, gt, gamma, alpha)
-        ladder_gap["poly"] = max(
-            ladder_gap["poly"], abs(afl_out.value - poly.value),
-            float(np.abs(afl_out.grad_wrt_prob - poly.grad_wrt_prob).max()))
-        p0 = losses.poly(pred, gt, gamma, 0.0)
-        f0 = losses.focal(pred, gt, gamma)
-        ladder_gap["focal"] = max(
-            ladder_gap["focal"], abs(p0.value - f0.value),
-            float(np.abs(p0.grad_wrt_prob - f0.grad_wrt_prob).max()))
-        f00 = losses.focal(pred, gt, 0.0)
-        b0 = losses.bce(pred, gt)
-        ladder_gap["bce"] = max(
-            ladder_gap["bce"], abs(f00.value - b0.value),
-            float(np.abs(f00.grad_wrt_prob - b0.grad_wrt_prob).max()))
+        for rung, upper, lower in (
+                ("poly", adaptive.afl(pred, gt, off)[0], losses.poly(pred, gt, gamma, alpha)),
+                ("focal", losses.poly(pred, gt, gamma, 0.0), losses.focal(pred, gt, gamma)),
+                ("bce", losses.focal(pred, gt, 0.0), losses.bce(pred, gt))):
+            ladder_gap[rung] = max(ladder_gap[rung], abs(upper.value - lower.value),
+                                   float(np.abs(upper.grad_wrt_prob - lower.grad_wrt_prob).max()))
 
         on = adaptive.AflParams(gamma, alpha, delta)
         _, diag = adaptive.afl(pred, gt, on)
@@ -449,6 +440,9 @@ def _checked(convert, ok, expected: str):
     return parse
 
 
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+
+
 def _floats(text: str) -> list:
     return [float(v) for v in text.split(",")]
 
@@ -482,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = loss_sub.add_parser("grad-check", help="finite-difference gradient suite")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_positive_int, default=100)
     p.add_argument("--loss", default="all", choices=("all",) + gradcheck.CHECKED_LOSSES)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_grad_check)
@@ -490,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = loss_sub.add_parser("identity-check",
                             help="reduction ladder, normalization, series, residuals")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_positive_int, default=100)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_identity_check)
 
@@ -499,8 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
         _floats, lambda gs: all(0.0 <= g <= 5.0 for g in gs), "comma-separated numbers in [0, 5]"))
     p.add_argument("--gamma-a", default="0,0.25,0.5,0.75,1", dest="gamma_a", type=_checked(
         _floats, lambda gs: all(0.0 <= g <= 1.0 for g in gs), "comma-separated numbers in [0, 1]"))
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--pt-points", type=int, default=99, dest="pt_points")
+    p.add_argument("--alpha", default=1.0, type=_checked(
+        float, lambda a: np.isfinite(a) and a >= 0.0, "a finite number >= 0"))
+    p.add_argument("--pt-points", type=_positive_int, default=99, dest="pt_points")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_loss_curve)
 
@@ -527,10 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = att_sub.add_parser("demo", help="seeded forward pass with invariant checks")
     p.add_argument("--queries", type=int, default=10)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--hw", type=_checked(int, lambda v: v >= 1, "a positive integer"), nargs=2,
-                   default=(64, 64))
+    p.add_argument("--hw", type=_positive_int, nargs=2, default=(64, 64))
     p.add_argument("--blocks", type=int, default=3)
-    p.add_argument("--clicks", type=int, default=2)
+    p.add_argument("--clicks", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=2)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_attention_demo)

@@ -70,6 +70,15 @@ def as_prob_map(prob) -> np.ndarray:
     return arr
 
 
+def as_prob_stack(stack, shape: tuple) -> np.ndarray:
+    """Validate and return a C-contiguous (K, *shape) float64 stack of probability maps."""
+    arr = np.ascontiguousarray(stack, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[1:] != tuple(shape):
+        raise DimensionError(f"expected a (K, *{tuple(shape)}) stack, got shape {arr.shape}")
+    as_prob_map(arr.reshape(-1, arr.shape[-1]))  # nonempty, finite, in [0, 1]
+    return arr
+
+
 def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionError(f"field shapes differ: {a.shape} vs {b.shape}")

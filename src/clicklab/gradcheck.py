@@ -6,6 +6,10 @@ independent oracle for the hand-derived gradients.  Map-level coefficients
 base-point values before differencing, because the analytic gradients are
 defined with those coefficients detached.
 
+Each case makes one value-only call on the (2*h*w, h, w) stack of all +-h
+one-pixel perturbations, validated once and reduced per map by the trusted
+kernels of the public losses; the values equal a one-pixel loop's bit for bit.
+
 Comparison rule: |analytic - fd| <= atol + rtol*|fd|, reported as
 max |a-f| / (atol/rtol + |f|) against rtol.  The atol term is the noise
 floor of central differences at h=1e-6 on desk-scale loss values (~1e-8);
@@ -16,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import adaptive, losses
-from .core import ParameterError, rng_stream
+from . import losses
+from .core import DEFAULT_EPS_CLIP, ParameterError, _pt_kernel, as_binary_mask, as_prob_stack, rng_stream
 
 DEFAULT_H = 1e-6
 DEFAULT_RTOL = 1e-5
@@ -27,20 +31,21 @@ CHECKED_LOSSES = ("bce", "wbce", "balanced_ce", "soft_iou", "focal", "nfl", "pol
 
 
 def central_difference_grad(value_fn, prob: np.ndarray) -> np.ndarray:
-    """Per-pixel (V(p+h) - V(p-h)) / 2h with h = DEFAULT_H, one pixel at a time."""
-    grad = np.zeros_like(prob)
-    flat = grad.ravel()
-    base = prob.copy()
-    view = base.ravel()
-    for i in range(view.size):
-        orig = view[i]
-        view[i] = orig + DEFAULT_H
-        up = value_fn(base)
-        view[i] = orig - DEFAULT_H
-        down = value_fn(base)
-        view[i] = orig
-        flat[i] = (up - down) / (2.0 * DEFAULT_H)
-    return grad
+    """Per-pixel (V(p+h) - V(p-h)) / 2h with h = DEFAULT_H, from one call.
+
+    ``value_fn`` maps a (2n, h, w) stack, n = h*w, to its (2n,) values.  Row
+    i of the stack is ``prob`` with pixel i raised by h, row n+i is it with
+    pixel i lowered by h.  The stack holds 2n^2 floats, so this is meant for
+    the small maps the suite draws.
+    """
+    prob = np.asarray(prob, dtype=np.float64)
+    n = prob.size
+    stack = np.tile(prob.ravel(), (2 * n, 1))
+    rows = np.arange(n)
+    stack[rows, rows] += DEFAULT_H
+    stack[n + rows, rows] -= DEFAULT_H
+    values = value_fn(stack.reshape(2 * n, *prob.shape))
+    return ((values[:n] - values[n:]) / (2.0 * DEFAULT_H)).reshape(prob.shape)
 
 
 def _random_case(rng, for_loss: str):
@@ -68,29 +73,29 @@ def _random_case(rng, for_loss: str):
 
 
 def _analytic_and_frozen(name: str, pred, gt, params):
-    """The analytic gradient plus the frozen-coefficient value function."""
-    if name == "afl":
-        afl_params = adaptive.AflParams(
-            gamma=params["gamma"], alpha=params["alpha"], delta=params["delta"])
-        out, diag = adaptive.afl(pred, gt, afl_params)
+    """The analytic gradient plus the value function of a stack of maps,
+    with every map-level coefficient frozen at ``pred``."""
+    out = losses.make_loss(name, **params)(pred, gt)
+    diag = out.diagnostics
+    y = as_binary_mask(gt)
+    yf = y.astype(np.float64)
 
-        def value_fn(p, _d=diag, _a=afl_params):
-            return adaptive.afl_value_with_coeffs(p, gt, _d.gamma_d, _d.mu, _a.alpha)
+    def values(stack):
+        p = as_prob_stack(stack, y.shape)
+        if name == "dice":
+            return losses._dice_kernel(p, yf, params["smooth"], grad=False)[0]
+        if name == "soft_iou":
+            return losses._soft_iou_kernel(p, yf, grad=False)[0]
+        if name in ("wbce", "balanced_ce"):
+            w_pos, w_neg = losses._ce_weights(name, y, diag["beta"])
+            value_px, _ = losses._weighted_ce_kernel(p, yf, w_pos, w_neg, DEFAULT_EPS_CLIP, grad=False)
+            return value_px.sum(axis=(-2, -1))
+        value_px, _ = losses.powlog_kernel(
+            _pt_kernel(p, y, DEFAULT_EPS_CLIP), diag.get("gamma_d", params.get("gamma", 0.0)),
+            params.get("alpha", 0.0), diag.get("mu", 1.0), grad=False)
+        return diag.get("nfl_scale", 1.0) * value_px.sum(axis=(-2, -1))
 
-        return out.grad_wrt_prob, value_fn
-
-    if name == "nfl":
-        out = losses.nfl(pred, gt, params["gamma"])
-        scale = out.diagnostics["nfl_scale"]
-
-        def value_fn(p, _s=scale, _g=params["gamma"]):
-            return _s * losses.focal(p, gt, _g).value
-
-        return out.grad_wrt_prob, value_fn
-
-    fn = losses.make_loss(name, **params)
-    out = fn(pred, gt)
-    return out.grad_wrt_prob, lambda p: fn(p, gt).value
+    return out.grad_wrt_prob, values
 
 
 def check_loss_gradients(name: str, cases: int, seed: int) -> dict:

@@ -161,17 +161,8 @@ def dice(pred, gt, smooth: float = 1.0) -> LossOutput:
     p = as_prob_map(pred)
     y = as_binary_mask(gt).astype(np.float64)
     check_same_shape(p, y)
-    return _dice_kernel(p, y, smooth)
-
-
-def _dice_kernel(p: np.ndarray, y: np.ndarray, smooth: float) -> LossOutput:
-    """``dice`` of a trusted probability map and same-shape {0, 1} mask."""
-    num = 2.0 * float((p * y).sum()) + smooth
-    den = float(p.sum() + y.sum()) + smooth
-    if den == 0.0:  # only reachable with smooth=0 on an all-empty pair
-        return LossOutput(0.0, np.zeros_like(p))
-    grad = -(2.0 * y * den - num) / (den * den)
-    return LossOutput(1.0 - num / den, grad)
+    value, grad = _dice_kernel(p, y, smooth)
+    return LossOutput(float(value), grad)
 
 
 def aux_loss(kind: str, pred, gt, beta: float | None = None,
@@ -189,22 +180,16 @@ def aux_loss(kind: str, pred, gt, beta: float | None = None,
     check_same_shape(p, y)
     check_eps_clip(eps)
     yf = y.astype(np.float64)
-
     if kind == "soft_iou":
-        inter = float((p * yf).sum())
-        union = float((p + yf - p * yf).sum())
-        if union == 0.0:
-            return LossOutput(0.0, np.zeros_like(p))
-        grad = -(yf * union - inter * (1.0 - yf)) / (union * union)
-        return LossOutput(1.0 - inter / union, grad)
+        value, grad = _soft_iou_kernel(p, yf)
+        return LossOutput(float(value), grad)
+    w_pos, w_neg = _ce_weights(kind, y, beta)
+    value, grad = _reduce(*_weighted_ce_kernel(p, yf, w_pos, w_neg, eps), reduction)
+    return LossOutput(value, grad, {"beta": w_pos})
 
-    # both log(p) and log(1-p) appear, so clip p on both ends; pixels sitting
-    # inside a clip are flat and get zero gradient
-    pc = np.clip(p, eps, 1.0 - eps)
-    log_p = np.log(pc)
-    log_1mp = np.log(1.0 - pc)
-    unclipped = ((p > eps) & (p < 1.0 - eps)).astype(np.float64)
 
+def _ce_weights(kind: str, y: np.ndarray, beta: float | None) -> tuple[float, float]:
+    """(w_pos, w_neg) of 'wbce' or 'balanced_ce' for a {0, 1} mask ``y``."""
     if kind == "wbce":
         if beta is None:
             positives = int(y.sum())
@@ -213,78 +198,88 @@ def aux_loss(kind: str, pred, gt, beta: float | None = None,
             beta = (y.size - positives) / positives
         elif beta <= 0.0:
             raise ParameterError(f"wbce beta must be > 0, got {beta}")
-        w_pos, w_neg = float(beta), 1.0
-    elif kind == "balanced_ce":
+        return float(beta), 1.0
+    if kind == "balanced_ce":
         if beta is None or not (0.0 < beta < 1.0):
             raise ParameterError(f"balanced_ce needs beta in (0, 1), got {beta}")
-        w_pos, w_neg = float(beta), 1.0 - float(beta)
-    else:
-        raise ParameterError(f"unknown aux loss kind {kind!r}")
+        return float(beta), 1.0 - float(beta)
+    raise ParameterError(f"unknown aux loss kind {kind!r}")
 
-    value_px = -(w_pos * yf * log_p + w_neg * (1.0 - yf) * log_1mp)
-    grad = (-w_pos * yf / pc + w_neg * (1.0 - yf) / (1.0 - pc)) * unclipped
-    value, grad = _reduce(value_px, grad, reduction)
-    return LossOutput(value, grad, {"beta": float(beta) if beta is not None else None})
+
+# ---------------------------------------------------------------------------
+# trusted kernels: any leading axes broadcast, maps are the last two axes
+# ---------------------------------------------------------------------------
+
+def _weighted_ce_kernel(p, yf, w_pos: float, w_neg: float, eps: float, grad: bool = True):
+    """Per-pixel -(w_pos*y*log(p) + w_neg*(1-y)*log(1-p)) and d/dp.  p is
+    clipped on both ends; pixels inside a clip are flat (zero gradient)."""
+    pc = np.clip(p, eps, 1.0 - eps)
+    value_px = -(w_pos * yf * np.log(pc) + w_neg * (1.0 - yf) * np.log(1.0 - pc))
+    if not grad:
+        return value_px, None
+    unclipped = ((p > eps) & (p < 1.0 - eps)).astype(np.float64)
+    return value_px, (-w_pos * yf / pc + w_neg * (1.0 - yf) / (1.0 - pc)) * unclipped
+
+
+def _soft_iou_kernel(p, yf, grad: bool = True):
+    """Per-map 1 - sum(p*y) / sum(p + y - p*y) and d/dp."""
+    inter = (p * yf).sum(axis=(-2, -1))
+    union = (p + yf - p * yf).sum(axis=(-2, -1))
+    return _one_minus_ratio(inter, union, yf, 1.0 - yf, grad)
+
+
+def _dice_kernel(p, y, smooth: float, grad: bool = True):
+    """Per-map ``dice`` of probability maps against a {0, 1} mask, and d/dp."""
+    num = 2.0 * (p * y).sum(axis=(-2, -1)) + smooth
+    den = p.sum(axis=(-2, -1)) + y.sum(axis=(-2, -1)) + smooth
+    return _one_minus_ratio(num, den, 2.0 * y, 1.0, grad)
+
+
+def _one_minus_ratio(num, den, dnum, dden, grad: bool):
+    """Per-map 1 - num/den and, given the per-pixel derivatives ``dnum`` and
+    ``dden``, its d/dp.  den == 0 only on an all-empty pair, which scores 0
+    with zero gradient."""
+    empty = den == 0.0
+    den = np.where(empty, 1.0, den)
+    value = np.where(empty, 0.0, 1.0 - num / den)
+    if not grad:
+        return value, None
+    n, d, e = (a[..., None, None] for a in (num, den, empty))
+    return value, np.where(e, 0.0, -(dnum * d - n * dden) / (d * d))
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
+# the keyword arguments make_loss accepts per loss, besides eps and reduction
+_LOSS_PARAMS = {
+    "bce": {}, "focal": {"gamma": 2.0}, "poly": {"gamma": 2.0, "alpha": 1.0},
+    "nfl": {"gamma": 2.0}, "dice": {"smooth": 1.0},
+    "wbce": {"beta": None}, "balanced_ce": {"beta": None}, "soft_iou": {"beta": None},
+    "afl": {"gamma": 2.0, "alpha": 1.0, "delta": 0.4, "ada_enabled": True, "agr_enabled": True},
+}
+
+
 def make_loss(name: str, **params):
     """Build ``fn(pred, gt) -> LossOutput`` for a loss named in BASELINE_KINDS
     or 'afl'.  Unknown keyword arguments are rejected per loss."""
     name = name.lower()
+    if name not in _LOSS_PARAMS:
+        raise ParameterError(f"unknown loss {name!r}")
     eps = params.pop("eps", DEFAULT_EPS_CLIP)
     reduction = params.pop("reduction", "sum")
-
+    kw = {key: params.pop(key, default) for key, default in _LOSS_PARAMS[name].items()}
+    if params:
+        raise ParameterError(f"loss {name!r} does not accept parameters {sorted(params)}")
     if name == "afl":
         from . import adaptive  # deferred: adaptive builds on this module
 
-        afl_params = adaptive.AflParams(
-            gamma=params.pop("gamma", 2.0),
-            alpha=params.pop("alpha", 1.0),
-            delta=params.pop("delta", 0.4),
-            ada_enabled=params.pop("ada_enabled", True),
-            agr_enabled=params.pop("agr_enabled", True),
-            eps_clip=eps,
-        )
-        _reject_extras(name, params)
-
-        def afl_fn(pred, gt):
-            out, diag = adaptive.afl(pred, gt, afl_params, reduction=reduction)
-            return out
-
-        return afl_fn
-
-    if name == "bce":
-        _reject_extras(name, params)
-        return lambda pred, gt: bce(pred, gt, eps=eps, reduction=reduction)
-    if name == "focal":
-        gamma = params.pop("gamma", 2.0)
-        _reject_extras(name, params)
-        return lambda pred, gt: focal(pred, gt, gamma, eps=eps, reduction=reduction)
-    if name == "poly":
-        gamma = params.pop("gamma", 2.0)
-        alpha = params.pop("alpha", 1.0)
-        _reject_extras(name, params)
-        return lambda pred, gt: poly(pred, gt, gamma, alpha, eps=eps, reduction=reduction)
-    if name == "nfl":
-        gamma = params.pop("gamma", 2.0)
-        _reject_extras(name, params)
-        return lambda pred, gt: nfl(pred, gt, gamma, eps=eps, reduction=reduction)
+        afl_params = adaptive.AflParams(**kw, eps_clip=eps)
+        return lambda pred, gt: adaptive.afl(pred, gt, afl_params, reduction=reduction)[0]
     if name == "dice":
-        smooth = params.pop("smooth", 1.0)
-        _reject_extras(name, params)
-        return lambda pred, gt: dice(pred, gt, smooth=smooth)
+        return lambda pred, gt: dice(pred, gt, **kw)
     if name in ("wbce", "balanced_ce", "soft_iou"):
-        beta = params.pop("beta", None)
-        _reject_extras(name, params)
-        return lambda pred, gt: aux_loss(name, pred, gt, beta=beta, eps=eps, reduction=reduction)
-
-    raise ParameterError(f"unknown loss {name!r}")
-
-
-def _reject_extras(name, params):
-    if params:
-        raise ParameterError(f"loss {name!r} does not accept parameters {sorted(params)}")
+        return lambda pred, gt: aux_loss(name, pred, gt, eps=eps, reduction=reduction, **kw)
+    fn = {"bce": bce, "focal": focal, "poly": poly, "nfl": nfl}[name]
+    return lambda pred, gt: fn(pred, gt, **kw, eps=eps, reduction=reduction)

@@ -115,7 +115,7 @@ def _cost_matrix(preds: list, gts: list, weights: LossWeights,
         for j, gt in enumerate(gts):
             diag = adaptive._afl_coeffs(pt[j], fg[j], afl_params)
             afl_px, _ = losses.powlog_kernel(pt[j], diag.gamma_d, afl_params.alpha, diag.mu, grad=False)
-            dice = losses._dice_kernel(pr.mask_probs, y[j], 1.0).value
+            dice, _ = losses._dice_kernel(pr.mask_probs, y[j], 1.0, grad=False)
             mask_term = weights.lambda_afl * float(afl_px.sum()) + weights.lambda_dice * dice
             cls_term = _class_nll(pr.click_class_probs, gt.class_index)
             cost[i, j] = weights.lambda_mask * mask_term + weights.lambda_cli * cls_term

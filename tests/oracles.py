@@ -1,10 +1,11 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately brute force: exhaustive enumeration for
-assignment problems, value-only central differences for gradients, one
-full-image pass per error component or click disk for click placement and
-click encoding, one query at a time through the decoder, and one fully
-validated loss evaluation per matching pair.
+assignment problems, value-only central differences for gradients (one
+pixel and one validated loss call at a time), one full-image pass per error
+component or click disk for click placement and click encoding, one query
+at a time through the decoder, and one fully validated loss evaluation per
+matching pair.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy import ndimage
 
 from scipy.special import expit
 
-from clicklab import adaptive, attention, matching
+from clicklab import adaptive, attention, losses, matching
 from clicklab.clicksim import ClickRecord, interior_point
 from clicklab.core import (
     DEFAULT_EPS_CLIP,
@@ -93,6 +94,25 @@ def central_diff(value_fn, prob: np.ndarray, h: float = 1e-6) -> np.ndarray:
         work[idx] = orig
         grad[idx] = (up - down) / (2.0 * h)
     return grad
+
+
+def reference_central_difference_grad(value_fn, prob: np.ndarray) -> np.ndarray:
+    """``gradcheck.central_difference_grad`` one pixel at a time: two calls
+    of the scalar ``value_fn`` per pixel, at the same h = 1e-6."""
+    return central_diff(value_fn, prob, 1e-6)
+
+
+def reference_frozen_value_fn(name: str, pred, gt, params: dict):
+    """Scalar value function of one validated public loss call, with the nfl
+    scale and AFL's gamma_d and mu frozen at ``pred``."""
+    if name == "afl":
+        _, diag = adaptive.afl(pred, gt, adaptive.AflParams(**params))
+        return lambda p: adaptive.afl_value_with_coeffs(p, gt, diag.gamma_d, diag.mu, params["alpha"])
+    if name == "nfl":
+        scale = losses.nfl(pred, gt, params["gamma"]).diagnostics["nfl_scale"]
+        return lambda p: scale * losses.focal(p, gt, params["gamma"]).value
+    fn = losses.make_loss(name, **params)
+    return lambda p: fn(p, gt).value
 
 
 def reference_next_click(pred, gt, prior=()) -> ClickRecord:

@@ -291,7 +291,7 @@ def test_click_map_pooled_once_per_scale(monkeypatch):
     image = rng_stream(16, "test/pool_once").random((64, 64))
     scales, embed = attention.build_feature_stack(image, [ClickRecord(20, 30, True, 1)], 8, 16)
     first = attention.camd_forward(scales, embed, params, 3)
-    assert len(calls) <= 4  # one per ScaleFeatures, not one per layer
+    assert len(calls) == 3  # one per decoder scale, none per layer or for the embedding
     pooled = len(calls)
     again = attention.camd_forward(scales, embed, params, 3)
     assert len(calls) == pooled

@@ -193,13 +193,22 @@ NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out 
     NOC_TRAINED + "--predictor trained:{tmp}/nested_weights.json",
     NOC_TRAINED + "--predictor trained:{tmp}/text_bias.json",
     "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run --seed 1",
+    "loss grad-check --seed 1 --cases 0",
+    "loss grad-check --seed 1 --cases -3",
+    "loss identity-check --seed 1 --cases 0",
+    "attention demo --clicks -1 --seed 1",
+    "loss curve --alpha -1 --out {tmp}/c.csv",
+    "loss curve --alpha nan --out {tmp}/c.csv",
+    "loss curve --pt-points 0 --out {tmp}/c.csv",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
         "pm_header_text", "synth_height_text", "synth_nesting_text", "synth_noise_text",
         "synth_noise_nan", "synth_seed_text", "synth_spec_not_object", "noc_height_text",
         "noc_nesting_text", "model_three_weights", "model_text_weight", "model_nan_weight",
-        "model_nested_weights", "model_text_bias", "train_seed_removed"])
+        "model_nested_weights", "model_text_bias", "train_seed_removed", "grad_check_zero_cases",
+        "grad_check_negative_cases", "identity_check_zero_cases", "attention_negative_clicks",
+        "curve_alpha_negative", "curve_alpha_nan", "curve_zero_pt_points"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).write_text(text)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from clicklab import losses
-from clicklab.core import ParameterError, rng_stream
-from oracles import central_diff
+from clicklab.core import DEFAULT_EPS_CLIP, ParameterError, _pt_kernel, as_prob_stack, rng_stream
+from oracles import bits, central_diff
 
 ONE = np.array([[1]], dtype=np.uint8)
 
@@ -237,6 +237,59 @@ def test_loss_value_finite_even_at_extremes(name, params):
         out = losses.make_loss(name, **params)(np.full((3, 3), fill), gt)
         assert np.isfinite(out.value)
         assert np.isfinite(out.grad_wrt_prob).all()
+
+
+def _kernel_stacks(rng, k, h, w):
+    """(K, h, w) stacks: C-contiguous, strided, and gathered along the last
+    axis (not C-ordered; numpy sums it in another order, so it enters through
+    the ``as_prob_stack`` boundary, which makes it C-contiguous)."""
+    base = rng.uniform(0.0, 1.0, size=(2 * k, 2 * h, 2 * w))
+    base[0, 0, :] = 0.0  # exact 0 and 1 exercise the clips
+    base[0, 1, :] = 1.0
+    gathered = base[:k, :h][:, :, np.arange(2 * w) % 2 == 1]
+    return [np.ascontiguousarray(base[:k, :h, :w]), base[::2, :h, ::2], as_prob_stack(gathered, (h, w))]
+
+
+def test_leading_axis_kernels_equal_2d_losses_per_map():
+    rng = rng_stream(21, "test/kernel_stacks")
+    for _ in range(40):
+        k, h, w = (int(v) for v in rng.integers(1, 7, size=3))
+        gt = (rng.random((h, w)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        gt.flat[0] = 1
+        yf = gt.astype(np.float64)
+        g, alpha, beta = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 0.95))
+        smooth = float(rng.choice([0.0, 1.0, 1.7]))
+        for stack in _kernel_stacks(rng, k, h, w):
+            maps = [np.ascontiguousarray(m) for m in stack]
+            value_px, _ = losses.powlog_kernel(_pt_kernel(stack, gt, DEFAULT_EPS_CLIP), g, alpha, 1.0, grad=False)
+            ce_px, ce_grad = losses._weighted_ce_kernel(stack, yf, beta, 1.0 - beta, DEFAULT_EPS_CLIP)
+            batched = {
+                "poly": (value_px.sum(axis=(-2, -1)), None),
+                "balanced_ce": (ce_px.sum(axis=(-2, -1)), ce_grad),
+                "dice": losses._dice_kernel(stack, yf, smooth),
+                "soft_iou": losses._soft_iou_kernel(stack, yf),
+            }
+            per_map = {
+                "poly": [losses.poly(m, gt, g, alpha) for m in maps],
+                "balanced_ce": [losses.aux_loss("balanced_ce", m, gt, beta=beta) for m in maps],
+                "dice": [losses.dice(m, gt, smooth) for m in maps],
+                "soft_iou": [losses.aux_loss("soft_iou", m, gt) for m in maps],
+            }
+            for name, (values, grads) in batched.items():
+                assert values.shape == (k,)
+                for i, out in enumerate(per_map[name]):
+                    assert bits(values[i]) == bits(np.float64(out.value)), name
+                    if grads is not None:
+                        assert bits(grads[i]) == bits(out.grad_wrt_prob), name
+            assert bits(losses._dice_kernel(stack, yf, smooth, grad=False)[0]) == bits(batched["dice"][0])
+
+
+def test_ratio_kernels_score_an_empty_pair_zero_in_a_stack():
+    stack = np.stack([np.zeros((3, 3)), np.full((3, 3), 0.5)])
+    empty = np.zeros((3, 3))
+    for values, grads in (losses._dice_kernel(stack, empty, 0.0), losses._soft_iou_kernel(stack, empty)):
+        assert values[0] == 0.0 and values[1] == 1.0
+        assert (grads[0] == 0.0).all() and np.isfinite(grads).all()
 
 
 def test_mean_reduction_scales_by_pixel_count():
