@@ -36,7 +36,7 @@ from .core import (
     check_eps_clip,
     pt_map,
 )
-from .losses import LossOutput, _pt_and_chain, _reduce, powlog_kernel
+from .losses import LossOutput, _power, _powlog_terms, _pt_and_chain, _reduce, powlog_kernel
 
 MU_FLOOR_PER_PIXEL = 1e-12  # caps mu at 1e12 when the map is near perfect
 
@@ -82,7 +82,9 @@ class AflDiagnostics:
 def gamma_a(pred, gt, eps_clip: float = DEFAULT_EPS_CLIP) -> float:
     """1 - mean(pt) over foreground pixels; 0 when the map has no foreground."""
     pt = pt_map(pred, gt, eps_clip)
-    return _afl_coeffs(pt, as_binary_mask(gt) == 1, AflParams(agr_enabled=False)).gamma_a
+    coeffs, _, _ = _afl_coeffs(pt[None, None], (as_binary_mask(gt) == 1)[None],
+                               AflParams(agr_enabled=False))
+    return coeffs.gamma_a.item()
 
 
 def mu(pt, gamma_d: float, delta: float) -> float:
@@ -100,14 +102,16 @@ def mu(pt, gamma_d: float, delta: float) -> float:
         raise ParameterError(f"delta must be in [0, 1], got {delta}")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ParameterError("pt values must lie in [0, 1]")
-    return _mu_kernel(arr, gamma_d, delta)
+    return _mu_kernel(((1.0 - arr) ** gamma_d).reshape(1, -1), gamma_d, delta).item()
 
 
-def _mu_kernel(pt: np.ndarray, gamma_d: float, delta: float) -> float:
-    """``mu`` of a trusted pt array and valid coefficients."""
-    n = pt.size
-    denom = float(((1.0 - pt) ** gamma_d).sum() * (1.0 + delta * gamma_d))
-    return n / max(denom, MU_FLOOR_PER_PIXEL * n)
+def _mu_kernel(mod: np.ndarray, gamma_d, delta: float):
+    """Per-map ``mu`` of trusted (..., h, w) maps given their modulator
+    ``mod = (1-pt)**gamma_d``; ``gamma_d`` is a float or an array of mod's
+    leading shape."""
+    n = mod.shape[-2] * mod.shape[-1]
+    denom = mod.sum(axis=(-2, -1)) * (1.0 + delta * gamma_d)
+    return n / np.maximum(denom, MU_FLOOR_PER_PIXEL * n)
 
 
 def afl(pred, gt, params: AflParams = AflParams(),
@@ -118,22 +122,41 @@ def afl(pred, gt, params: AflParams = AflParams(),
     before the per-pixel pass, then held constant.
     """
     params.validate()
-    pt, chain = _pt_and_chain(pred, gt, params.eps_clip)
-    diag = _afl_coeffs(pt, as_binary_mask(gt) == 1, params)
-    value_px, dvalue_dpt = powlog_kernel(pt, diag.gamma_d, params.alpha, diag.mu)
+    pt, chain, fg = _pt_and_chain(pred, gt, params.eps_clip)
+    coeffs, omp, mod = _afl_coeffs(pt[None, None], fg[None], params)
+    diag = AflDiagnostics(**{name: v.item() for name, v in vars(coeffs).items()})
+    value_px, dvalue_dpt = _powlog_terms(pt, omp[0, 0], mod[0, 0], diag.gamma_d, params.alpha, diag.mu)
     value, grad = _reduce(value_px, dvalue_dpt * chain, reduction)
     return LossOutput(value, grad, diag.as_dict()), diag
 
 
-def _afl_coeffs(pt: np.ndarray, fg: np.ndarray, params: AflParams) -> AflDiagnostics:
-    """gamma_a, gamma_d and mu of a trusted pt map and its boolean foreground."""
-    hard_count = int(fg.sum())
-    fg_pt_mean = float(pt[fg].mean()) if hard_count else 1.0
+def _afl_coeffs(pt: np.ndarray, fg: np.ndarray, params: AflParams):
+    """Per-map coefficients of trusted pt maps, with ``1 - pt`` and the
+    modulator ``(1-pt)**gamma_d`` that mu and the loss share.
 
-    g_a = 1.0 - fg_pt_mean if (params.ada_enabled and hard_count > 0) else 0.0
+    ``pt`` is a (K, M, h, w) stack whose column j is paired with the boolean
+    foreground ``fg[j]`` of an (M, h, w) stack.  Returns ``(diagnostics,
+    omp, mod)``; the diagnostics' fields are (K, M) arrays, except the (M,)
+    ``hard_count``.
+    """
+    k, m = pt.shape[:2]
+    hard_count = fg.sum(axis=(1, 2))
+    fg_pt_mean = np.empty((k, m))
+    for j, count in enumerate(hard_count.tolist()):
+        if count:
+            # the gather comes back non-C-ordered; each row must be summed in
+            # the order of a single map's pt[fg].mean()
+            fg_pt = np.ascontiguousarray(pt[:, j][:, fg[j]])
+            np.divide(fg_pt.sum(axis=1), count, out=fg_pt_mean[:, j])
+        else:
+            fg_pt_mean[:, j] = 1.0
+
+    g_a = 1.0 - fg_pt_mean if params.ada_enabled else np.zeros((k, m))  # 0 without foreground
     g_d = params.gamma + g_a
-    mu_val = _mu_kernel(pt, g_d, params.delta) if params.agr_enabled else 1.0
-    return AflDiagnostics(g_a, g_d, mu_val, hard_count, fg_pt_mean)
+    omp = 1.0 - pt
+    mod = _power(omp, g_d[..., None, None])
+    mu_val = _mu_kernel(mod, g_d, params.delta) if params.agr_enabled else np.ones((k, m))
+    return AflDiagnostics(g_a, g_d, mu_val, hard_count, fg_pt_mean), omp, mod
 
 
 def afl_value_with_coeffs(pred, gt, gamma_d: float, mu_val: float, alpha: float) -> float:
@@ -142,7 +165,7 @@ def afl_value_with_coeffs(pred, gt, gamma_d: float, mu_val: float, alpha: float)
     This is the function whose finite differences the detached analytic
     gradient must reproduce.
     """
-    pt, _ = _pt_and_chain(pred, gt, DEFAULT_EPS_CLIP)
+    pt, _, _ = _pt_and_chain(pred, gt, DEFAULT_EPS_CLIP)
     value_px, _ = powlog_kernel(pt, gamma_d, alpha, mu_val, grad=False)
     return float(value_px.sum())
 

@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = syn_sub.add_parser("gen", help="write PGM masks + PM features + metadata")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.set_defaults(handler=cmd_synth_gen)
 

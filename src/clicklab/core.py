@@ -58,16 +58,19 @@ def as_binary_mask(mask) -> np.ndarray:
 
 
 def as_prob_map(prob) -> np.ndarray:
-    """Validate and return a 2-D float64 probability field in [0, 1]."""
+    """Validate and return a C-contiguous 2-D float64 probability field in [0, 1].
+
+    numpy sums other layouts in another order, so a map gathered along its
+    last axis would score differently in the last bit from its copy."""
     arr = np.asarray(prob, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionError(f"probability map must be a nonempty 2-D field, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ParameterError("probability map contains non-finite values")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ParameterError(
-            f"probabilities must lie in [0, 1], found range [{arr.min()}, {arr.max()}]")
-    return arr
+    lo, hi = arr.min(), arr.max()
+    if not (lo >= 0.0 and hi <= 1.0):  # NaN fails both comparisons
+        if not np.isfinite(arr).all():
+            raise ParameterError("probability map contains non-finite values")
+        raise ParameterError(f"probabilities must lie in [0, 1], found range [{lo}, {hi}]")
+    return np.ascontiguousarray(arr)
 
 
 def as_prob_stack(stack, shape: tuple) -> np.ndarray:

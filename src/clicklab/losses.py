@@ -69,39 +69,67 @@ def _reduce(value_px: np.ndarray, grad_p: np.ndarray, reduction: str) -> tuple[f
 # shared kernel:  per-pixel  -mu*(1-pt)^g * log(pt) + alpha*(1-pt)^(g+1)
 # ---------------------------------------------------------------------------
 
-def powlog_kernel(pt: np.ndarray, g: float, alpha: float, mu: float, grad: bool = True):
+def powlog_kernel(pt: np.ndarray, g, alpha: float, mu, grad: bool = True):
     """Per-pixel values and d/d(pt) of the modulated cross-entropy family.
 
     ``pt`` must already be clamped away from 0.  ``g``, ``alpha`` and ``mu``
-    are treated as constants.  Returns ``(value_px, dvalue_dpt)``; callers
-    that need only values pass ``grad=False`` and get ``dvalue_dpt = None``.
+    are treated as constants; ``g`` and ``mu`` are floats, or arrays of one
+    value per map shaped ``(..., 1, 1)`` against pt's (..., h, w) maps.
+    Returns ``(value_px, dvalue_dpt)``; callers that need only values pass
+    ``grad=False`` and get ``dvalue_dpt = None``.
     """
     omp = 1.0 - pt
+    return _powlog_terms(pt, omp, _power(omp, g), g, alpha, mu, grad)
+
+
+def _powlog_terms(pt, omp, mod, g, alpha, mu, grad: bool = True):
+    """``powlog_kernel`` given ``omp = 1 - pt`` and the modulator
+    ``mod = omp ** g``, for callers that need the modulator themselves."""
     log_pt = np.log(pt)
-    mod = omp ** g
-    value_px = -mu * mod * log_pt + alpha * omp ** (g + 1.0)
+    value_px = -mu * mod * log_pt + alpha * _power(omp, g + 1.0)
     if not grad:
         return value_px, None
     # omp**(g-1) diverges at pt=1 for g<1; its contribution vanishes there
     # because log(pt) -> 0 faster, so mask that factor to 0.
     with np.errstate(divide="ignore"):
-        omp_pow_gm1 = np.where(omp > 0.0, omp ** (g - 1.0), 0.0)
+        omp_pow_gm1 = np.where(omp > 0.0, _power(omp, g - 1.0), 0.0)
     dvalue_dpt = mu * g * log_pt * omp_pow_gm1 - mu * mod / pt - alpha * (g + 1.0) * mod
     return value_px, dvalue_dpt
 
 
+# numpy evaluates ``x ** s`` for these Python-float exponents by reciprocal,
+# sqrt and square, which can differ in the last bit from the pow it uses for
+# an exponent array (its other fast paths, s = 0 and 1, agree with pow)
+_SCALAR_FAST_POWERS = frozenset((-1.0, 0.5, 2.0))
+
+
+def _power(base: np.ndarray, e):
+    """``base ** e`` for a float ``e``, or per map for an array ``e`` of
+    shape (..., 1, 1) against base's (..., h, w) maps.  Each map equals
+    ``base[i] ** float(e[i])`` bit for bit: maps whose exponent numpy would
+    special-case are recomputed with the scalar exponent."""
+    out = base ** e
+    if isinstance(e, np.ndarray):
+        for s in _SCALAR_FAST_POWERS.intersection(e.ravel().tolist()):
+            hit = e[..., 0, 0] == s
+            out[hit] = base[hit] ** s
+    return out
+
+
 def _pt_and_chain(pred, gt, eps):
-    """Clamped pt plus the d(pt)/d(p) chain factor (0 inside the clamp)."""
+    """Clamped pt, the d(pt)/d(p) chain factor (0 inside the clamp) and the
+    boolean foreground."""
     p = as_prob_map(pred)
     y = as_binary_mask(gt)
     check_same_shape(p, y)
     check_eps_clip(eps)
     pt = _pt_kernel(p, y, eps)
-    return pt, np.where(y == 1, 1.0, -1.0) * (pt > eps)  # pt > eps exactly where unclamped
+    fg = y == 1
+    return pt, np.where(fg, 1.0, -1.0) * (pt > eps), fg  # pt > eps exactly where unclamped
 
 
 def _powlog_loss(pred, gt, g, alpha, mu, eps, reduction) -> LossOutput:
-    pt, chain = _pt_and_chain(pred, gt, eps)
+    pt, chain, _ = _pt_and_chain(pred, gt, eps)
     value_px, dvalue_dpt = powlog_kernel(pt, g, alpha, mu)
     value, grad = _reduce(value_px, dvalue_dpt * chain, reduction)
     return LossOutput(value, grad)
@@ -144,9 +172,11 @@ def nfl(pred, gt, gamma: float, eps: float = DEFAULT_EPS_CLIP,
     """
     _check_gamma(gamma)
     _check_reduction(reduction)
-    pt, chain = _pt_and_chain(pred, gt, eps)
-    value_px, dvalue_dpt = powlog_kernel(pt, gamma, 0.0, 1.0)
-    norm = float(((1.0 - pt) ** gamma).sum())
+    pt, chain, _ = _pt_and_chain(pred, gt, eps)
+    omp = 1.0 - pt
+    mod = omp ** gamma
+    value_px, dvalue_dpt = _powlog_terms(pt, omp, mod, gamma, 0.0, 1.0)
+    norm = float(mod.sum())
     if norm == 0.0:
         return LossOutput(0.0, np.zeros_like(pt), {"nfl_scale": 0.0})
     scale = pt.size / norm

@@ -9,15 +9,19 @@ over injective matchings of size min(N, M).  scipy's rectangular
 Jonker-Volgenant solver (``linear_sum_assignment``) gives the optimum; a
 forced-edge pass then returns the *lexicographically smallest* optimal
 assignment (lowest prediction index first, then lowest ground-truth index),
-so ties never depend on the solver's iteration order.
+so ties never depend on the solver's iteration order.  The pass skips every
+re-solve that a lower bound on the completion (sums of row or column minima
+over the rows still open) already rules out.
 
 Unmatched predictions are charged the down-weighted "unclick" classification
-term in :func:`total_loss`.  Its N x M cost matrix is built in one pass over
-maps the dataclasses validated once; :func:`pair_cost` is the 1 x 1 case.
+term in :func:`total_loss`.  Its N x M cost matrix is built over maps the
+dataclasses validated once, in blocks of prediction rows sized by
+``COST_BLOCK_ELEMENTS``; :func:`pair_cost` is the 1 x 1 case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,8 @@ from .core import (DEFAULT_EPS_CLIP, DimensionError, ParameterError, _pt_kernel,
                    as_prob_map)
 
 _TIE_RTOL = 1e-9
+# float64 elements per (k, M, h, w) temporary of _cost_matrix (128 KB)
+COST_BLOCK_ELEMENTS = 2 ** 14
 
 
 @dataclass
@@ -84,9 +90,10 @@ class MatchResult:
     total_cost: float
 
 
-def _class_nll(probs: np.ndarray, index: int) -> float:
-    # clamp keeps the cost finite when a one-hot prediction misses the class
-    return float(-np.log(max(float(probs[index]), DEFAULT_EPS_CLIP)))
+def _class_nll(probs: np.ndarray, index):
+    """-log of ``probs[..., index]``; the clamp keeps the cost finite when a
+    one-hot prediction misses the class."""
+    return -np.log(np.maximum(probs[..., index], DEFAULT_EPS_CLIP))
 
 
 def pair_cost(pred: InstancePrediction, gt: GroundTruthInstance,
@@ -99,9 +106,22 @@ def pair_cost(pred: InstancePrediction, gt: GroundTruthInstance,
 def _cost_matrix(preds: list, gts: list, weights: LossWeights,
                  afl_params: adaptive.AflParams) -> np.ndarray:
     """N x M pair costs.  The dataclasses validated every map, so only shapes
-    and parameters are checked here, once.  pt is computed for a row of pairs
-    at a time; the per-pair reductions share the kernels of ``adaptive.afl``
-    and ``losses.dice`` (values only) and run in the same order."""
+    and parameters are checked here, once.
+
+    pt, the AFL coefficients, the AFL values and dice are computed over a
+    (k, M, h, w) block of k prediction rows at a time.  k is the largest
+    count whose block holds at most ``COST_BLOCK_ELEMENTS`` floats, so each
+    temporary stays under 128 KB.  At N = 40, M = 3, 32 x 32 on a 2-CPU
+    Xeon, rows one at a time (numpy's per-call overhead once per row) took
+    6.6-8.1 ms per matrix, blocks of 5 rows 3.6-4.2 ms, blocks of 10 rows
+    3.4-3.8 ms and one block of all 40 rows 5.7-5.9 ms, its 1 MB
+    temporaries coming fresh from the allocator on every call.  Blocks of 10
+    rows also raised the peak resident memory of a decode-and-match run by
+    about 0.15 MB, and blocks of 5 rows did not.  Each entry equals the pair
+    computed on its own bit for bit: every map is reduced in the same order,
+    and ``losses._power`` recomputes the maps whose exponent numpy
+    special-cases.
+    """
     weights.validate()
     afl_params.validate()
     shapes = {pr.mask_probs.shape for pr in preds} | {gt.mask.shape for gt in gts}
@@ -109,16 +129,20 @@ def _cost_matrix(preds: list, gts: list, weights: LossWeights,
         raise DimensionError(f"mask shapes differ: {sorted(shapes)}")
     y = np.stack([gt.mask for gt in gts])
     fg = y == 1
-    cost = np.empty((len(preds), len(gts)), dtype=np.float64)
-    for i, pr in enumerate(preds):
-        pt = _pt_kernel(pr.mask_probs, y, afl_params.eps_clip)
-        for j, gt in enumerate(gts):
-            diag = adaptive._afl_coeffs(pt[j], fg[j], afl_params)
-            afl_px, _ = losses.powlog_kernel(pt[j], diag.gamma_d, afl_params.alpha, diag.mu, grad=False)
-            dice, _ = losses._dice_kernel(pr.mask_probs, y[j], 1.0, grad=False)
-            mask_term = weights.lambda_afl * float(afl_px.sum()) + weights.lambda_dice * dice
-            cls_term = _class_nll(pr.click_class_probs, gt.class_index)
-            cost[i, j] = weights.lambda_mask * mask_term + weights.lambda_cli * cls_term
+    p = np.stack([pr.mask_probs for pr in preds])[:, None]  # (N, 1, h, w)
+    cls_term = _class_nll(np.stack([pr.click_class_probs for pr in preds]),
+                          [gt.class_index for gt in gts])
+    rows = max(1, COST_BLOCK_ELEMENTS // y.size)
+    cost = np.empty(cls_term.shape, dtype=np.float64)
+    for start in range(0, len(preds), rows):
+        block = slice(start, start + rows)
+        pt = _pt_kernel(p[block], y, afl_params.eps_clip)
+        coeffs, omp, mod = adaptive._afl_coeffs(pt, fg, afl_params)
+        afl_px, _ = losses._powlog_terms(pt, omp, mod, coeffs.gamma_d[..., None, None],
+                                         afl_params.alpha, coeffs.mu[..., None, None], grad=False)
+        dice, _ = losses._dice_kernel(p[block], y, 1.0, grad=False)
+        mask_term = weights.lambda_afl * afl_px.sum(axis=(-2, -1)) + weights.lambda_dice * dice
+        cost[block] = weights.lambda_mask * mask_term + weights.lambda_cli * cls_term[block]
     return cost
 
 
@@ -134,6 +158,16 @@ def hungarian(cost) -> MatchResult:
     (prediction, gt) index: an earlier prediction is matched rather than left
     unmatched, and then to the lowest gt index.  A cost matrix whose optimum
     sums to more than the float64 range raises ``ParameterError``.
+
+    After one optimal solve, prediction i in turn tries each lower gt j than
+    its pick, re-solving rows > i with (i, j) forced.  The re-solve is
+    skipped when the cost fixed so far plus c[i, j] plus a lower bound on
+    the completion exceeds the optimum, its tie tolerance and a rounding
+    margin of ``1e-9 * sum |c|``.  The bound is the sum of the column
+    minima over rows > i when every other open column gets matched, else
+    the sum of those rows' minima; both are tabulated once, in O(N * M).
+    A bound that overflows turns the pruning off.  On 60 decoder cost
+    matrices (40 x 3) it cut the solves per call from a median of 54 to 2.
     """
     # imported lazily: scipy.optimize adds ~22 MB and ~0.26 s to every CLI start-up
     from scipy.optimize import linear_sum_assignment
@@ -161,21 +195,32 @@ def hungarian(cost) -> MatchResult:
     if not np.isfinite(best):
         raise ParameterError("the optimal assignment's total cost overflows float64")
     tol = _TIE_RTOL * (1.0 + abs(best))
+    with np.errstate(over="ignore"):
+        limit = best + tol + _TIE_RTOL * (1.0 + float(np.abs(c).sum()))
+        row_min_tail = np.cumsum(c.min(axis=1)[::-1])[::-1].tolist() + [0.0]
+    col_min_tail = np.minimum.accumulate(c[::-1], axis=0)[::-1].tolist() + [[0.0] * n_gt]
+    entries = c.tolist()
     spent = 0.0
     for i in range(n_pred):
         rows.remove(i)
+        col_min = col_min_tail[i + 1]
+        col_sum = sum(col_min[k] for k in cols)
         # col_of holds the pairs fixed so far plus an optimal completion; a
         # lower gt j replaces i's pick only if forcing (i, j) still reaches best
         for j in cols:
             if j == col_of.get(i):
                 break
+            # lower bound on the completion by rows > i without column j
+            bound = row_min_tail[i + 1] if len(cols) - 1 > len(rows) else col_sum - col_min[j]
+            if limit < spent + entries[i][j] + bound < math.inf:
+                continue
             rest_of, rest = solve(rows, [k for k in cols if k != j])
-            if spent + float(c[i, j]) + rest <= best + tol:
+            if spent + entries[i][j] + rest <= best + tol:
                 col_of = {r: g for r, g in col_of.items() if r < i} | {i: j} | rest_of
                 break
         if i in col_of:
             cols.remove(col_of[i])
-            spent += float(c[i, col_of[i]])
+            spent += entries[i][col_of[i]]
 
     pairs = sorted(col_of.items())
     pair_costs = [float(c[i, j]) for i, j in pairs]
@@ -214,7 +259,7 @@ def total_loss(preds: list, gts: list,
     ] if gts else []
     unmatched_rows = []
     for i in match.unmatched_predictions:
-        nll = _class_nll(preds[i].click_class_probs, 1)  # index 1 = unclick
+        nll = float(_class_nll(preds[i].click_class_probs, 1))  # index 1 = unclick
         term = weights.unclick_weight * weights.lambda_cli * nll
         unmatched_rows.append({"pred": i, "unclick_nll": nll, "cost": term})
 

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately brute force: exhaustive enumeration for
-assignment problems, value-only central differences for gradients (one
+assignment problems, one forced-edge re-solve per candidate pair for the
+lex-min assignment, value-only central differences for gradients (one
 pixel and one validated loss call at a time), one full-image pass per error
 component or click disk for click placement and click encoding, one query
 at a time through the decoder, and one fully validated loss evaluation per
@@ -18,11 +19,14 @@ from scipy import ndimage
 
 from scipy.special import expit
 
+from scipy.optimize import linear_sum_assignment
+
 from clicklab import adaptive, attention, losses, matching
 from clicklab.clicksim import ClickRecord, interior_point
 from clicklab.core import (
     DEFAULT_EPS_CLIP,
     ClickLabError,
+    DimensionError,
     ParameterError,
     PerfectPredictionError,
     as_binary_mask,
@@ -30,7 +34,6 @@ from clicklab.core import (
     check_same_shape,
     pt_map,
 )
-from clicklab.losses import powlog_kernel
 
 
 def bits(a: np.ndarray):
@@ -259,7 +262,8 @@ def _reference_pair_cost(pred, gt, weights, afl_params):
         n = pt.size
         denom = float(((1.0 - pt) ** g_d).sum() * (1.0 + afl_params.delta * g_d))
         mu_val = n / max(denom, adaptive.MU_FLOOR_PER_PIXEL * n)
-    value_px, _ = powlog_kernel(pt, g_d, afl_params.alpha, mu_val)
+    omp = 1.0 - pt  # the per-map kernel with Python-float exponents
+    value_px = -mu_val * omp ** g_d * np.log(pt) + afl_params.alpha * omp ** (g_d + 1.0)
     afl_value = float(value_px.sum())
 
     yf = y.astype(np.float64)
@@ -279,3 +283,58 @@ def reference_cost_matrix(preds, gts, weights, afl_params) -> np.ndarray:
         for j, gt in enumerate(gts):
             cost[i, j] = _reference_pair_cost(pr, gt, weights, afl_params)
     return cost
+
+
+# ---------------------------------------------------------------------------
+# lex-min assignment, one forced-edge re-solve per candidate pair
+# ---------------------------------------------------------------------------
+
+def reference_hungarian(cost) -> matching.MatchResult:
+    """``matching.hungarian`` without pruning: after one optimal solve, each
+    prediction in turn tries every lower gt than its current pick, re-solving
+    the rows after it with that pair forced, and keeps the first that still
+    reaches the optimum within 1e-9 * (1 + |optimum|)."""
+    try:
+        c = np.asarray(cost, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"cost matrix must be a numeric 2-D array: {exc}") from None
+    if c.ndim != 2 or c.size == 0:
+        raise DimensionError(f"cost matrix must be nonempty and 2-D, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ParameterError("cost matrix entries must be finite")
+
+    def solve(rows: list, cols: list):
+        sub = c[np.ix_(rows, cols)]
+        r, k = linear_sum_assignment(sub)
+        with np.errstate(over="ignore"):
+            total = float(sub[r, k].sum())
+        return {rows[a]: cols[b] for a, b in zip(r, k)}, total
+
+    n_pred, n_gt = c.shape
+    rows, cols = list(range(n_pred)), list(range(n_gt))
+    col_of, best = solve(rows, cols)
+    if not np.isfinite(best):
+        raise ParameterError("the optimal assignment's total cost overflows float64")
+    tol = 1e-9 * (1.0 + abs(best))
+    spent = 0.0
+    for i in range(n_pred):
+        rows.remove(i)
+        for j in cols:
+            if j == col_of.get(i):
+                break
+            rest_of, rest = solve(rows, [k for k in cols if k != j])
+            if spent + float(c[i, j]) + rest <= best + tol:
+                col_of = {r: g for r, g in col_of.items() if r < i} | {i: j} | rest_of
+                break
+        if i in col_of:
+            cols.remove(col_of[i])
+            spent += float(c[i, col_of[i]])
+
+    pairs = sorted(col_of.items())
+    pair_costs = [float(c[i, j]) for i, j in pairs]
+    return matching.MatchResult(
+        assignment=pairs,
+        unmatched_predictions=[i for i in range(n_pred) if i not in col_of],
+        pair_costs=pair_costs,
+        total_cost=float(sum(pair_costs)),
+    )

@@ -200,6 +200,8 @@ NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out 
     "loss curve --alpha -1 --out {tmp}/c.csv",
     "loss curve --alpha nan --out {tmp}/c.csv",
     "loss curve --pt-points 0 --out {tmp}/c.csv",
+    "synth gen --spec {tmp}/spec.json --out {tmp}/d --count 0",
+    "synth gen --spec {tmp}/spec.json --out {tmp}/d --count -1",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
@@ -208,7 +210,8 @@ NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out 
         "noc_nesting_text", "model_three_weights", "model_text_weight", "model_nan_weight",
         "model_nested_weights", "model_text_bias", "train_seed_removed", "grad_check_zero_cases",
         "grad_check_negative_cases", "identity_check_zero_cases", "attention_negative_clicks",
-        "curve_alpha_negative", "curve_alpha_nan", "curve_zero_pt_points"])
+        "curve_alpha_negative", "curve_alpha_nan", "curve_zero_pt_points",
+        "synth_zero_count", "synth_negative_count"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).write_text(text)

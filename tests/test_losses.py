@@ -284,12 +284,62 @@ def test_leading_axis_kernels_equal_2d_losses_per_map():
             assert bits(losses._dice_kernel(stack, yf, smooth, grad=False)[0]) == bits(batched["dice"][0])
 
 
+def test_powlog_kernel_per_map_exponents_equal_scalar_calls():
+    # exponents g, g + 1 or g - 1 of -1, 0, 0.5, 1 and 2 take numpy's scalar
+    # fast paths in the per-map call; the batched call must match them too
+    rng = rng_stream(23, "test/per_map_exponents")
+    for _ in range(10):
+        k, m = (int(v) for v in rng.integers(2, 7, size=2))
+        pt = np.maximum(rng.uniform(0.0, 1.0, size=(k, m, 16, 16)), DEFAULT_EPS_CLIP)
+        pt[0, 0, 0, :] = 1.0
+        g = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, float(rng.uniform(0.0, 5.0))], size=(k, m))
+        mu = rng.uniform(0.5, 2.0, size=(k, m))
+        alpha = float(rng.uniform(0.0, 2.0))
+        for grad in (False, True):
+            values, grads = losses.powlog_kernel(pt, g[..., None, None], alpha, mu[..., None, None], grad)
+            for i, j in np.ndindex(k, m):
+                want, want_grad = losses.powlog_kernel(pt[i, j], float(g[i, j]), alpha, float(mu[i, j]), grad)
+                assert bits(values[i, j]) == bits(want), (g[i, j], grad)
+                if grad:
+                    assert bits(grads[i, j]) == bits(want_grad), g[i, j]
+
+
+def test_per_map_power_equals_float_exponent_power():
+    rng = rng_stream(24, "test/per_map_power")
+    base = rng.uniform(0.0, 1.0, size=(6, 5, 16, 16))
+    e = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, -0.5], size=(6, 5))
+    with np.errstate(divide="ignore"):
+        got = losses._power(base, e[..., None, None])
+        for i, j in np.ndindex(e.shape):
+            assert bits(got[i, j]) == bits(base[i, j] ** float(e[i, j])), e[i, j]
+
+
 def test_ratio_kernels_score_an_empty_pair_zero_in_a_stack():
     stack = np.stack([np.zeros((3, 3)), np.full((3, 3), 0.5)])
     empty = np.zeros((3, 3))
     for values, grads in (losses._dice_kernel(stack, empty, 0.0), losses._soft_iou_kernel(stack, empty)):
         assert values[0] == 0.0 and values[1] == 1.0
         assert (grads[0] == 0.0).all() and np.isfinite(grads).all()
+
+
+def test_losses_of_a_column_gathered_map_equal_its_contiguous_copy():
+    # b[:, perm] is not C-ordered; the validated losses make it contiguous, so
+    # they sum in the order of its copy and agree bit for bit
+    from clicklab import adaptive
+
+    rng = rng_stream(22, "test/gathered_map")
+    for _ in range(200):
+        h, w = (int(v) for v in rng.integers(2, 17, size=2))
+        b = rng.uniform(0.0, 1.0, size=(h, w))
+        gathered = b[:, rng.permutation(w)]
+        assert not gathered.flags.c_contiguous
+        copy = np.ascontiguousarray(gathered)
+        gt = (rng.random((h, w)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        for fn in (losses.dice, losses.bce, lambda p, y: adaptive.afl(p, y)[0]):
+            got, want = fn(gathered, gt), fn(copy, gt)
+            assert repr(got.value) == repr(want.value)
+            assert bits(got.grad_wrt_prob) == bits(want.grad_wrt_prob)
+            assert repr(got.diagnostics) == repr(want.diagnostics)
 
 
 def test_mean_reduction_scales_by_pixel_count():

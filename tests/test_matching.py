@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from clicklab import adaptive, matching
+import scipy.optimize
+
+from clicklab import adaptive, attention, clicksim, matching, synthgen
 from clicklab.core import DimensionError, ParameterError, rng_stream
 from oracles import (bits, brute_force_lex_min_assignment, brute_force_min_cost,
-                     reference_cost_matrix)
+                     reference_cost_matrix, reference_hungarian)
 
 OBJECT = np.array([1.0, 0.0])
 
@@ -161,6 +163,77 @@ def test_hungarian_negative_costs():
         assert matching.hungarian(c).total_cost == brute_force_min_cost(c)
 
 
+def _oracle_sweep_matrices():
+    """Seeded tall, wide and square cost matrices: uniform floats, tie-heavy
+    integers, negative costs, a +1e6 row or column, entries near the float64
+    maximum, and 40 x 3 matrices shaped like a decoder's."""
+    rng = rng_stream(39, "test/hungarian_oracle")
+    for case in range(720):
+        n, m = (int(v) for v in rng.integers(1, 9, size=2))
+        kind = case % 6
+        if kind == 0:
+            c = rng.uniform(0.0, 10.0, size=(n, m))
+        elif kind == 1:
+            c = rng.integers(0, 3, size=(n, m)).astype(np.float64)
+        elif kind == 2:
+            c = rng.integers(-50, 50, size=(n, m)).astype(np.float64)
+        elif kind == 3:
+            c = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+            if rng.random() < 0.5:
+                c[:, rng.integers(0, m)] += 1e6
+            else:
+                c[rng.integers(0, n), :] += 1e6
+        elif kind == 4:
+            c = rng.choice([1e308, 5e307, -5e307, 1.0, 2.0], size=(n, m))
+        else:
+            c = rng.integers(0, 6, size=(40, 3)) + rng.choice([0.0, 0.5], size=(40, 3))
+            c[rng.integers(0, 40, size=3), [0, 1, 2]] -= 1.0
+        yield c
+
+
+def test_hungarian_equals_forced_edge_oracle_sweep():
+    for c in _oracle_sweep_matrices():
+        try:
+            want = reference_hungarian(c)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                matching.hungarian(c)
+            continue
+        got = matching.hungarian(c)
+        assert got.assignment == want.assignment, c
+        assert got.unmatched_predictions == want.unmatched_predictions
+        assert repr(got.pair_costs) == repr(want.pair_costs)
+        assert repr(got.total_cost) == repr(want.total_cost)
+
+
+def _decode_match_costs(seed):
+    """The 40 x 3 matching costs of a 3-block decoder on one 128^2 sample."""
+    sample = synthgen.generate(synthgen.SynthSpec(
+        seed=seed, height=128, width=128, n_instances=3, shape_kind="ellipse"))
+    click = clicksim.first_click(sample.gt_instances[0])
+    scales, embed = attention.build_feature_stack(sample.feature_map[..., 3], [click], 16, seed)
+    preds = attention.camd_forward(scales, embed, attention.AttentionParams.initialize(40, 16, seed), 3)
+    gts = [matching.GroundTruthInstance(attention.resize_nearest(mask, 32, 32), OBJECT)
+           for mask in sample.gt_instances]
+    return matching._cost_matrix(preds, gts, matching.LossWeights(), adaptive.AflParams())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hungarian_solve_count_on_decode_match_costs(monkeypatch, seed):
+    cost = _decode_match_costs(seed)
+    assert cost.shape == (40, 3)
+    solves = []
+    solve = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda sub: solves.append(sub.shape) or solve(sub))
+    got = matching.hungarian(cost)
+    assert len(solves) <= 2 * cost.shape[1] + 1
+    monkeypatch.undo()
+    want = reference_hungarian(cost)
+    assert got.assignment == want.assignment
+    assert repr(got.total_cost) == repr(want.total_cost)
+
+
 # ---------------------------------------------------------------------------
 # total_loss
 # ---------------------------------------------------------------------------
@@ -286,6 +359,23 @@ def _random_params(rng, case):
     return weights, afl_params
 
 
+def _assert_matches_reference(preds, gts, weights, afl_params, monkeypatch):
+    want_cost = reference_cost_matrix(preds, gts, weights, afl_params)
+    if gts:
+        got_cost = matching._cost_matrix(preds, gts, weights, afl_params)
+        assert bits(got_cost) == bits(want_cost)
+    for i, pr in enumerate(preds):
+        for j, gt in enumerate(gts):
+            got_pair = matching.pair_cost(pr, gt, weights, afl_params)
+            assert repr(got_pair) == repr(float(want_cost[i, j]))
+
+    got = matching.total_loss(preds, gts, weights, afl_params)
+    with monkeypatch.context() as patched:
+        patched.setattr(matching, "_cost_matrix", reference_cost_matrix)
+        want = matching.total_loss(preds, gts, weights, afl_params)
+    assert repr(got) == repr(want)
+
+
 def test_cost_matrix_and_total_loss_match_reference_sweep(monkeypatch):
     rng = rng_stream(37, "test/cost_matrix")
     # wide, tall and square N x M, plus empty gts
@@ -295,21 +385,64 @@ def test_cost_matrix_and_total_loss_match_reference_sweep(monkeypatch):
         h, w = (int(v) for v in rng.integers(1, 12, size=2))
         preds, gts = _random_instances(rng, n, m, h, w)
         weights, afl_params = _random_params(rng, case)
+        _assert_matches_reference(preds, gts, weights, afl_params, monkeypatch)
 
-        want_cost = reference_cost_matrix(preds, gts, weights, afl_params)
-        if gts:
-            got_cost = matching._cost_matrix(preds, gts, weights, afl_params)
-            assert bits(got_cost) == bits(want_cost)
-        for i, pr in enumerate(preds):
-            for j, gt in enumerate(gts):
-                got_pair = matching.pair_cost(pr, gt, weights, afl_params)
-                assert repr(got_pair) == repr(float(want_cost[i, j]))
 
-        got = matching.total_loss(preds, gts, weights, afl_params)
-        with monkeypatch.context() as patched:
-            patched.setattr(matching, "_cost_matrix", reference_cost_matrix)
-            want = matching.total_loss(preds, gts, weights, afl_params)
-        assert repr(got) == repr(want)
+def _block_count(n, m, h, w):
+    return math.ceil(n / max(1, matching.COST_BLOCK_ELEMENTS // (m * h * w)))
+
+
+@pytest.mark.parametrize("n, m, seed", [(31, 3, 0), (25, 4, 1), (9, 12, 2), (40, 3, 3)])
+def test_cost_matrix_matches_reference_across_row_blocks(monkeypatch, n, m, seed):
+    rng = rng_stream(seed, "test/cost_matrix_blocks")
+    assert _block_count(n, m, 32, 32) >= 3
+    preds, gts = _random_instances(rng, n, m, 32, 32)
+    for case in range(2):
+        _assert_matches_reference(preds, gts, *_random_params(rng, case), monkeypatch)
+
+
+def _edge_instances(rng, n, empty_gt=False, perfect_row=False):
+    """32 x 32 instances: three ground truths (the middle one empty if asked)
+    and ``n`` predictions, the first exactly 1.0 on gt 0's foreground if asked."""
+    preds, gts = _random_instances(rng, n, 3, 32, 32)
+    masks = [np.zeros((32, 32), dtype=np.uint8) for _ in range(3)]
+    masks[0][4:20, 6:28] = 1
+    masks[2][18:30, 2:12] = 1
+    if not empty_gt:
+        masks[1][::3, ::2] = 1
+    gts = [matching.GroundTruthInstance(mask, OBJECT) for mask in masks]
+    if perfect_row:
+        probs = preds[0].mask_probs.copy()
+        probs[masks[0] == 1] = 1.0
+        preds[0] = matching.InstancePrediction(probs, preds[0].click_class_probs)
+    return preds, gts
+
+
+# every case meets an exponent gamma_d or gamma_d + 1 of exactly 0.5, 1.0 or
+# 2.0, which numpy computes by sqrt, positive or square for a float exponent
+@pytest.mark.parametrize("gamma, ada, agr, empty_gt, perfect_row", [
+    (0.5, False, True, False, False),
+    (1.0, False, True, False, False),
+    (2.0, False, True, False, False),
+    (0.5, False, False, False, False),
+    (1.0, False, False, False, False),
+    (2.0, False, False, False, False),
+    (2.0, True, True, True, False),
+    (1.0, True, True, True, False),
+    (0.5, True, False, True, False),
+    (0.0, True, True, True, False),
+    (2.0, True, True, False, True),
+    (1.0, True, False, False, True),
+], ids=["ada_off_0.5", "ada_off_1", "ada_off_2", "ada_agr_off_0.5", "ada_agr_off_1",
+        "ada_agr_off_2", "empty_gt_2", "empty_gt_1", "empty_gt_0.5_agr_off", "empty_gt_0",
+        "perfect_fg_row_2", "perfect_fg_row_1_agr_off"])
+def test_cost_matrix_matches_reference_on_exponent_edges(monkeypatch, gamma, ada, agr,
+                                                         empty_gt, perfect_row):
+    rng = rng_stream(38, f"test/cost_matrix_edges/{gamma}/{ada}/{agr}/{empty_gt}")
+    preds, gts = _edge_instances(rng, 23, empty_gt, perfect_row)
+    afl_params = adaptive.AflParams(gamma=gamma, ada_enabled=ada, agr_enabled=agr)
+    assert _block_count(23, 3, 32, 32) >= 3
+    _assert_matches_reference(preds, gts, matching.LossWeights(), afl_params, monkeypatch)
 
 
 def test_cost_matrix_rejects_mixed_shapes():
