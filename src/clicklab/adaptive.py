@@ -24,6 +24,7 @@ where the expansions converge fast, and are never the production gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,11 +33,11 @@ from .core import (
     DimensionError,
     DomainError,
     ParameterError,
-    as_binary_mask,
     check_eps_clip,
+    check_nonnegative,
     pt_map,
 )
-from .losses import LossOutput, _power, _powlog_terms, _pt_and_chain, _reduce, powlog_kernel
+from .losses import Loss, LossOutput, _check_reduction, _power, _powlog_terms, _reduce, powlog_kernel
 
 MU_FLOOR_PER_PIXEL = 1e-12  # caps mu at 1e12 when the map is near perfect
 
@@ -53,8 +54,7 @@ class AflParams:
     def validate(self) -> "AflParams":
         if not (0.0 <= self.gamma <= 5.0):
             raise ParameterError(f"gamma must be in [0, 5], got {self.gamma}")
-        if self.alpha < 0.0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
+        check_nonnegative("alpha", self.alpha)
         if not (0.0 <= self.delta <= 1.0):
             raise ParameterError(f"delta must be in [0, 1], got {self.delta}")
         check_eps_clip(self.eps_clip)
@@ -81,10 +81,7 @@ class AflDiagnostics:
 
 def gamma_a(pred, gt, eps_clip: float = DEFAULT_EPS_CLIP) -> float:
     """1 - mean(pt) over foreground pixels; 0 when the map has no foreground."""
-    pt = pt_map(pred, gt, eps_clip)
-    coeffs, _, _ = _afl_coeffs(pt[None, None], (as_binary_mask(gt) == 1)[None],
-                               AflParams(agr_enabled=False))
-    return coeffs.gamma_a.item()
+    return afl_loss(AflParams(agr_enabled=False, eps_clip=eps_clip))(pred, gt).diagnostics["gamma_a"]
 
 
 def mu(pt, gamma_d: float, delta: float) -> float:
@@ -102,16 +99,13 @@ def mu(pt, gamma_d: float, delta: float) -> float:
         raise ParameterError(f"delta must be in [0, 1], got {delta}")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ParameterError("pt values must lie in [0, 1]")
-    return _mu_kernel(((1.0 - arr) ** gamma_d).reshape(1, -1), gamma_d, delta).item()
+    return float(_mu_kernel(((1.0 - arr) ** gamma_d).ravel().sum(), arr.size, gamma_d, delta))
 
 
-def _mu_kernel(mod: np.ndarray, gamma_d, delta: float):
-    """Per-map ``mu`` of trusted (..., h, w) maps given their modulator
-    ``mod = (1-pt)**gamma_d``; ``gamma_d`` is a float or an array of mod's
-    leading shape."""
-    n = mod.shape[-2] * mod.shape[-1]
-    denom = mod.sum(axis=(-2, -1)) * (1.0 + delta * gamma_d)
-    return n / np.maximum(denom, MU_FLOOR_PER_PIXEL * n)
+def _mu_kernel(mod_sum, n: int, gamma_d, delta: float):
+    """``mu`` of trusted maps of ``n`` pixels given the sums of their
+    modulators ``(1-pt)**gamma_d``; floats, or arrays of one value per map."""
+    return n / np.maximum(mod_sum * (1.0 + delta * gamma_d), MU_FLOOR_PER_PIXEL * n)
 
 
 def afl(pred, gt, params: AflParams = AflParams(),
@@ -121,13 +115,41 @@ def afl(pred, gt, params: AflParams = AflParams(),
     Reduction order matters: gamma_a and mu are full-map reductions computed
     before the per-pixel pass, then held constant.
     """
+    out = afl_loss(params, reduction)(pred, gt)
+    return out, AflDiagnostics(**out.diagnostics)
+
+
+def afl_loss(params: AflParams = AflParams(), reduction: str = "sum") -> Loss:
+    """The adaptive focal loss as a :class:`~clicklab.losses.Loss`, with its
+    parameters checked once."""
     params.validate()
-    pt, chain, fg = _pt_and_chain(pred, gt, params.eps_clip)
-    coeffs, omp, mod = _afl_coeffs(pt[None, None], fg[None], params)
-    diag = AflDiagnostics(**{name: v.item() for name, v in vars(coeffs).items()})
-    value_px, dvalue_dpt = _powlog_terms(pt, omp[0, 0], mod[0, 0], diag.gamma_d, params.alpha, diag.mu)
-    value, grad = _reduce(value_px, dvalue_dpt * chain, reduction)
-    return LossOutput(value, grad, diag.as_dict()), diag
+    _check_reduction(reduction)
+    return Loss(partial(_afl_step, params=params, reduction=reduction))
+
+
+def _afl_step(target, params: AflParams, reduction: str):
+    def step(p):
+        pt, chain = target.pt_and_chain(p, params.eps_clip)
+        diag, omp, mod = _afl_map_coeffs(pt, target.fg_index, params)
+        value_px, grad = _powlog_terms(pt, omp, mod, diag.gamma_d, params.alpha, diag.mu)
+        grad *= chain
+        return *_reduce(value_px, grad, reduction), diag.as_dict()
+    return step
+
+
+def _afl_map_coeffs(pt: np.ndarray, fg_index: np.ndarray, params: AflParams):
+    """``_afl_coeffs`` of one trusted map, in floats rather than (1, 1)
+    arrays, and equal to it bit for bit: ``pt[fg]`` is summed in the same
+    order, and the float exponent takes the numpy fast paths that ``_power``
+    reproduces for exponent arrays."""
+    count = fg_index.size
+    fg_pt_mean = float(pt.take(fg_index).sum()) / count if count else 1.0
+    g_a = 1.0 - fg_pt_mean if params.ada_enabled else 0.0
+    g_d = params.gamma + g_a
+    omp = 1.0 - pt
+    mod = omp ** g_d
+    mu_val = float(_mu_kernel(mod.sum(), pt.size, g_d, params.delta)) if params.agr_enabled else 1.0
+    return AflDiagnostics(g_a, g_d, mu_val, count, fg_pt_mean), omp, mod
 
 
 def _afl_coeffs(pt: np.ndarray, fg: np.ndarray, params: AflParams):
@@ -155,7 +177,8 @@ def _afl_coeffs(pt: np.ndarray, fg: np.ndarray, params: AflParams):
     g_d = params.gamma + g_a
     omp = 1.0 - pt
     mod = _power(omp, g_d[..., None, None])
-    mu_val = _mu_kernel(mod, g_d, params.delta) if params.agr_enabled else np.ones((k, m))
+    mu_val = (_mu_kernel(mod.sum(axis=(-2, -1)), pt.shape[-2] * pt.shape[-1], g_d, params.delta)
+              if params.agr_enabled else np.ones((k, m)))
     return AflDiagnostics(g_a, g_d, mu_val, hard_count, fg_pt_mean), omp, mod
 
 
@@ -165,8 +188,7 @@ def afl_value_with_coeffs(pred, gt, gamma_d: float, mu_val: float, alpha: float)
     This is the function whose finite differences the detached analytic
     gradient must reproduce.
     """
-    pt, _, _ = _pt_and_chain(pred, gt, DEFAULT_EPS_CLIP)
-    value_px, _ = powlog_kernel(pt, gamma_d, alpha, mu_val, grad=False)
+    value_px, _ = powlog_kernel(pt_map(pred, gt), gamma_d, alpha, mu_val, grad=False)
     return float(value_px.sum())
 
 

@@ -8,6 +8,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class GenerationError(ClickLabError):
 
 
 class TrainingError(ClickLabError):
-    """Training diverged (non-finite loss)."""
+    """Training diverged (a non-finite probability, loss or model parameter)."""
 
 
 class PerfectPredictionError(ClickLabError):
@@ -85,6 +86,13 @@ def as_prob_stack(stack, shape: tuple) -> np.ndarray:
 def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionError(f"field shapes differ: {a.shape} vs {b.shape}")
+
+
+def check_nonnegative(name: str, value: float) -> float:
+    """A finite number >= 0; NaN and the infinities are rejected."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 def check_eps_clip(eps_clip: float) -> float:

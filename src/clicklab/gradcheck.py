@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .core import DEFAULT_EPS_CLIP, ParameterError, _pt_kernel, as_binary_mask, as_prob_stack, rng_stream
+from .core import DEFAULT_EPS_CLIP, ParameterError, _pt_kernel, as_prob_stack, rng_stream
 
 DEFAULT_H = 1e-6
 DEFAULT_RTOL = 1e-5
@@ -73,29 +73,29 @@ def _random_case(rng, for_loss: str):
 
 
 def _analytic_and_frozen(name: str, pred, gt, params):
-    """The analytic gradient plus the value function of a stack of maps,
-    with every map-level coefficient frozen at ``pred``."""
-    out = losses.make_loss(name, **params)(pred, gt)
-    diag = out.diagnostics
-    y = as_binary_mask(gt)
-    yf = y.astype(np.float64)
+    """The analytic gradient at a drawn case's (trusted) ``pred`` plus the
+    value function of a stack of maps, with every map-level coefficient
+    frozen at ``pred``."""
+    target = losses.Target(gt)
+    _, analytic, diag = losses.make_loss(name, **params).bind(target)(pred)
+    yf = target.yf
 
     def values(stack):
-        p = as_prob_stack(stack, y.shape)
+        p = as_prob_stack(stack, yf.shape)
         if name == "dice":
             return losses._dice_kernel(p, yf, params["smooth"], grad=False)[0]
         if name == "soft_iou":
             return losses._soft_iou_kernel(p, yf, grad=False)[0]
         if name in ("wbce", "balanced_ce"):
-            w_pos, w_neg = losses._ce_weights(name, y, diag["beta"])
+            w_pos, w_neg = losses._ce_weights(name, diag["beta"], target)
             value_px, _ = losses._weighted_ce_kernel(p, yf, w_pos, w_neg, DEFAULT_EPS_CLIP, grad=False)
             return value_px.sum(axis=(-2, -1))
         value_px, _ = losses.powlog_kernel(
-            _pt_kernel(p, y, DEFAULT_EPS_CLIP), diag.get("gamma_d", params.get("gamma", 0.0)),
+            _pt_kernel(p, target.mask, DEFAULT_EPS_CLIP), diag.get("gamma_d", params.get("gamma", 0.0)),
             params.get("alpha", 0.0), diag.get("mu", 1.0), grad=False)
         return diag.get("nfl_scale", 1.0) * value_px.sum(axis=(-2, -1))
 
-    return out.grad_wrt_prob, values
+    return analytic, values
 
 
 def check_loss_gradients(name: str, cases: int, seed: int) -> dict:

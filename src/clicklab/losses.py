@@ -10,21 +10,31 @@ through one shared kernel, so the algebraic reductions
 hold bit-for-bit, not merely to tolerance.  Coefficients that depend on the
 whole map (the nfl normalizer, and the adaptive factors in the adaptive
 module) are treated as constants during differentiation.
+
+Each loss is evaluated in three stages.  :func:`make_loss` checks the
+parameters and returns a :class:`Loss`; :class:`Target` validates a ground
+truth once and keeps what does not change between evaluations; and
+``Loss.bind(target)`` returns the trusted step that maps a probability map to
+``(value, grad_wrt_prob, diagnostics)``.  The public functions (``bce``,
+``focal``, ...) run all three on one pair of maps; a training loop binds
+once and steps many times.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
 from .core import (
     DEFAULT_EPS_CLIP,
     ParameterError,
-    _pt_kernel,
     as_binary_mask,
     as_prob_map,
     check_eps_clip,
+    check_nonnegative,
     check_same_shape,
 )
 
@@ -59,10 +69,126 @@ def _check_reduction(reduction: str) -> str:
 
 
 def _reduce(value_px: np.ndarray, grad_p: np.ndarray, reduction: str) -> tuple[float, np.ndarray]:
+    """Reduce the per-pixel values; a mean divides ``grad_p``, which the
+    caller owns, in place."""
     if reduction == "mean":
         n = value_px.size
-        return float(value_px.sum() / n), grad_p / n
+        grad_p /= n
+        return float(value_px.sum() / n), grad_p
     return float(value_px.sum()), grad_p
+
+
+# ---------------------------------------------------------------------------
+# targets and bound steps
+# ---------------------------------------------------------------------------
+
+class Target:
+    """A validated ground-truth mask.  What the loss steps read from it is
+    computed on first use and kept, so a bound step never recomputes it."""
+
+    def __init__(self, gt):
+        self.mask = as_binary_mask(gt)  # (h, w) uint8 in {0, 1}
+
+    @cached_property
+    def fg(self) -> np.ndarray:
+        return self.mask == 1
+
+    @cached_property
+    def sign(self) -> np.ndarray:
+        """d(pt)/d(p) outside the clamp: 1 on the foreground, -1 elsewhere."""
+        return np.where(self.fg, 1.0, -1.0)
+
+    @cached_property
+    def fg_index(self) -> np.ndarray:
+        """Flat row-major indices of the foreground."""
+        return np.flatnonzero(self.fg)
+
+    @cached_property
+    def yf(self) -> np.ndarray:
+        return self.mask.astype(np.float64)
+
+    def pt_and_chain(self, p: np.ndarray, eps: float):
+        """Clamped pt of a trusted map ``p`` and the d(pt)/d(p) chain factor,
+        0 inside the clamp."""
+        pt = 1.0 - p
+        np.copyto(pt, p, where=self.fg)
+        np.maximum(pt, eps, out=pt)
+        return pt, self.sign * (pt > eps)  # pt > eps exactly where unclamped
+
+
+class Loss:
+    """A loss whose parameters :func:`make_loss` checked.
+
+    ``bind(target)`` returns the trusted step ``p -> (value, grad_wrt_prob,
+    diagnostics)`` for a :class:`Target`.  ``p`` must be a C-contiguous
+    float64 map of the target's shape with finite values in [0, 1]; the step
+    does not check it.  Calling the loss validates both maps and takes one
+    step.
+    """
+
+    def __init__(self, bind):
+        self.bind = bind
+
+    def __call__(self, pred, gt) -> LossOutput:
+        p = as_prob_map(pred)
+        target = Target(gt)
+        check_same_shape(p, target.mask)
+        return LossOutput(*self.bind(target)(p))
+
+
+def _powlog_step(target: Target, gamma, alpha: float, eps: float, reduction: str,
+                 normalized: bool = False):
+    """bce, focal and poly; with ``normalized``, nfl's detached N / sum
+    (1-pt)^gamma scale, and value 0, grad 0 on an all-perfect map."""
+    def step(p):
+        pt, chain = target.pt_and_chain(p, eps)
+        omp = 1.0 - pt
+        mod = omp ** gamma
+        value_px, grad = _powlog_terms(pt, omp, mod, gamma, alpha, 1.0)
+        diag = {}
+        if normalized:
+            norm = float(mod.sum())
+            if norm == 0.0:
+                return 0.0, np.zeros_like(pt), {"nfl_scale": 0.0}
+            scale = diag["nfl_scale"] = pt.size / norm
+            value_px *= scale
+            grad *= scale
+        grad *= chain
+        return *_reduce(value_px, grad, reduction), diag
+    return step
+
+
+def _ratio_step(target: Target, kernel):
+    """dice or soft-IoU: ``kernel(p, yf)`` is already one value per map."""
+    def step(p):
+        value, grad = kernel(p, target.yf)
+        return float(value), grad, {}
+    return step
+
+
+def _weighted_ce_step(target: Target, kind: str, beta, eps: float, reduction: str):
+    w_pos, w_neg = _ce_weights(kind, beta, target)
+
+    def step(p):
+        value_px, grad = _weighted_ce_kernel(p, target.yf, w_pos, w_neg, eps)
+        return *_reduce(value_px, grad, reduction), {"beta": w_pos}
+    return step
+
+
+def _ce_weights(kind: str, beta, target: Target) -> tuple[float, float]:
+    """(w_pos, w_neg) of 'wbce', else of 'balanced_ce', against ``target``."""
+    if kind == "wbce":
+        if beta is None:
+            positives = int(np.count_nonzero(target.mask))
+            if positives == 0:
+                raise ParameterError("wbce auto-beta is undefined for all-background gt")
+            beta = (target.mask.size - positives) / positives
+        elif not (math.isfinite(beta) and beta > 0.0):
+            raise ParameterError(f"wbce beta must be finite and > 0, got {beta}")
+        return float(beta), 1.0
+    if beta is None or not (0.0 < beta < 1.0):
+        raise ParameterError(f"balanced_ce needs beta in (0, 1), got {beta}")
+    return float(beta), 1.0 - float(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +210,31 @@ def powlog_kernel(pt: np.ndarray, g, alpha: float, mu, grad: bool = True):
 
 def _powlog_terms(pt, omp, mod, g, alpha, mu, grad: bool = True):
     """``powlog_kernel`` given ``omp = 1 - pt`` and the modulator
-    ``mod = omp ** g``, for callers that need the modulator themselves."""
+    ``mod = omp ** g``, for callers that need the modulator themselves.
+
+    The closed forms are evaluated operation by operation in their written
+    order, in place on four temporaries this function allocates, so the
+    results equal those of the plain expressions bit for bit."""
     log_pt = np.log(pt)
-    value_px = -mu * mod * log_pt + alpha * _power(omp, g + 1.0)
+    value_px = np.multiply(-mu, mod)
+    value_px *= log_pt
+    tmp = _power(omp, g + 1.0)
+    tmp *= alpha
+    value_px += tmp  # -mu*mod*log(pt) + alpha*omp**(g+1)
     if not grad:
         return value_px, None
     # omp**(g-1) diverges at pt=1 for g<1; its contribution vanishes there
     # because log(pt) -> 0 faster, so mask that factor to 0.
     with np.errstate(divide="ignore"):
-        omp_pow_gm1 = np.where(omp > 0.0, _power(omp, g - 1.0), 0.0)
-    dvalue_dpt = mu * g * log_pt * omp_pow_gm1 - mu * mod / pt - alpha * (g + 1.0) * mod
+        omp_pow_gm1 = _power(omp, g - 1.0)
+    np.copyto(omp_pow_gm1, 0.0, where=omp <= 0.0)
+    dvalue_dpt = np.multiply(mu * g, log_pt, out=log_pt)
+    dvalue_dpt *= omp_pow_gm1
+    np.multiply(mu, mod, out=tmp)
+    tmp /= pt
+    dvalue_dpt -= tmp
+    np.multiply(alpha * (g + 1.0), mod, out=tmp)
+    dvalue_dpt -= tmp  # mu*g*log(pt)*omp**(g-1) - mu*mod/pt - alpha*(g+1)*mod
     return value_px, dvalue_dpt
 
 
@@ -116,51 +257,26 @@ def _power(base: np.ndarray, e):
     return out
 
 
-def _pt_and_chain(pred, gt, eps):
-    """Clamped pt, the d(pt)/d(p) chain factor (0 inside the clamp) and the
-    boolean foreground."""
-    p = as_prob_map(pred)
-    y = as_binary_mask(gt)
-    check_same_shape(p, y)
-    check_eps_clip(eps)
-    pt = _pt_kernel(p, y, eps)
-    fg = y == 1
-    return pt, np.where(fg, 1.0, -1.0) * (pt > eps), fg  # pt > eps exactly where unclamped
-
-
-def _powlog_loss(pred, gt, g, alpha, mu, eps, reduction) -> LossOutput:
-    pt, chain, _ = _pt_and_chain(pred, gt, eps)
-    value_px, dvalue_dpt = powlog_kernel(pt, g, alpha, mu)
-    value, grad = _reduce(value_px, dvalue_dpt * chain, reduction)
-    return LossOutput(value, grad)
-
-
 # ---------------------------------------------------------------------------
-# individual losses
+# individual losses: validate, bind, step
 # ---------------------------------------------------------------------------
 
 def bce(pred, gt, eps: float = DEFAULT_EPS_CLIP, reduction: str = "sum") -> LossOutput:
     """Cross entropy -sum log(pt); treats hard and easy pixels alike."""
-    _check_reduction(reduction)
-    return _powlog_loss(pred, gt, 0.0, 0.0, 1.0, eps, reduction)
+    return make_loss("bce", eps=eps, reduction=reduction)(pred, gt)
 
 
 def focal(pred, gt, gamma: float, eps: float = DEFAULT_EPS_CLIP,
           reduction: str = "sum") -> LossOutput:
     """-sum (1-pt)^gamma log(pt); gamma in [0, 5]."""
-    _check_gamma(gamma)
-    _check_reduction(reduction)
-    return _powlog_loss(pred, gt, gamma, 0.0, 1.0, eps, reduction)
+    return make_loss("focal", gamma=gamma, eps=eps, reduction=reduction)(pred, gt)
 
 
 def poly(pred, gt, gamma: float, alpha: float, eps: float = DEFAULT_EPS_CLIP,
          reduction: str = "sum") -> LossOutput:
-    """Focal plus the polynomial correction alpha*(1-pt)^(gamma+1)."""
-    _check_gamma(gamma)
-    if alpha < 0.0:
-        raise ParameterError(f"alpha must be >= 0, got {alpha}")
-    _check_reduction(reduction)
-    return _powlog_loss(pred, gt, gamma, float(alpha), 1.0, eps, reduction)
+    """Focal plus the polynomial correction alpha*(1-pt)^(gamma+1); alpha
+    finite and >= 0."""
+    return make_loss("poly", gamma=gamma, alpha=alpha, eps=eps, reduction=reduction)(pred, gt)
 
 
 def nfl(pred, gt, gamma: float, eps: float = DEFAULT_EPS_CLIP,
@@ -170,70 +286,28 @@ def nfl(pred, gt, gamma: float, eps: float = DEFAULT_EPS_CLIP,
     The normalizer is detached: the gradient is the focal gradient times the
     same scale.  An all-perfect map (normalizer 0) returns value 0, grad 0.
     """
-    _check_gamma(gamma)
-    _check_reduction(reduction)
-    pt, chain, _ = _pt_and_chain(pred, gt, eps)
-    omp = 1.0 - pt
-    mod = omp ** gamma
-    value_px, dvalue_dpt = _powlog_terms(pt, omp, mod, gamma, 0.0, 1.0)
-    norm = float(mod.sum())
-    if norm == 0.0:
-        return LossOutput(0.0, np.zeros_like(pt), {"nfl_scale": 0.0})
-    scale = pt.size / norm
-    value, grad = _reduce(scale * value_px, scale * dvalue_dpt * chain, reduction)
-    return LossOutput(value, grad, {"nfl_scale": scale})
+    return make_loss("nfl", gamma=gamma, eps=eps, reduction=reduction)(pred, gt)
 
 
 def dice(pred, gt, smooth: float = 1.0) -> LossOutput:
-    """1 - (2*sum(p*y)+s) / (sum(p)+sum(y)+s).  Already normalized per map."""
-    if smooth < 0.0:
-        raise ParameterError(f"smooth must be >= 0, got {smooth}")
-    p = as_prob_map(pred)
-    y = as_binary_mask(gt).astype(np.float64)
-    check_same_shape(p, y)
-    value, grad = _dice_kernel(p, y, smooth)
-    return LossOutput(float(value), grad)
+    """1 - (2*sum(p*y)+s) / (sum(p)+sum(y)+s), s finite and >= 0.  Already
+    normalized per map."""
+    return make_loss("dice", smooth=smooth)(pred, gt)
 
 
 def aux_loss(kind: str, pred, gt, beta: float | None = None,
              eps: float = DEFAULT_EPS_CLIP, reduction: str = "sum") -> LossOutput:
     """Comparison losses: 'wbce', 'balanced_ce', or 'soft_iou'.
 
-    wbce weights the positive term by beta (default: negatives/positives of
-    the ground truth, which errors out on an all-background map).
-    balanced_ce splits the two terms as beta vs 1-beta with beta in (0, 1).
-    soft_iou ignores beta and uses the probabilistic intersection/union.
+    wbce weights the positive term by a finite beta > 0 (default:
+    negatives/positives of the ground truth, which errors out on an
+    all-background map).  balanced_ce splits the two terms as beta vs 1-beta
+    with beta in (0, 1).  soft_iou ignores beta and uses the probabilistic
+    intersection/union.
     """
-    _check_reduction(reduction)
-    p = as_prob_map(pred)
-    y = as_binary_mask(gt)
-    check_same_shape(p, y)
-    check_eps_clip(eps)
-    yf = y.astype(np.float64)
-    if kind == "soft_iou":
-        value, grad = _soft_iou_kernel(p, yf)
-        return LossOutput(float(value), grad)
-    w_pos, w_neg = _ce_weights(kind, y, beta)
-    value, grad = _reduce(*_weighted_ce_kernel(p, yf, w_pos, w_neg, eps), reduction)
-    return LossOutput(value, grad, {"beta": w_pos})
-
-
-def _ce_weights(kind: str, y: np.ndarray, beta: float | None) -> tuple[float, float]:
-    """(w_pos, w_neg) of 'wbce' or 'balanced_ce' for a {0, 1} mask ``y``."""
-    if kind == "wbce":
-        if beta is None:
-            positives = int(y.sum())
-            if positives == 0:
-                raise ParameterError("wbce auto-beta is undefined for all-background gt")
-            beta = (y.size - positives) / positives
-        elif beta <= 0.0:
-            raise ParameterError(f"wbce beta must be > 0, got {beta}")
-        return float(beta), 1.0
-    if kind == "balanced_ce":
-        if beta is None or not (0.0 < beta < 1.0):
-            raise ParameterError(f"balanced_ce needs beta in (0, 1), got {beta}")
-        return float(beta), 1.0 - float(beta)
-    raise ParameterError(f"unknown aux loss kind {kind!r}")
+    if kind not in ("wbce", "balanced_ce", "soft_iou"):
+        raise ParameterError(f"unknown aux loss kind {kind!r}")
+    return make_loss(kind, beta=beta, eps=eps, reduction=reduction)(pred, gt)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +365,10 @@ _LOSS_PARAMS = {
 }
 
 
-def make_loss(name: str, **params):
-    """Build ``fn(pred, gt) -> LossOutput`` for a loss named in BASELINE_KINDS
-    or 'afl'.  Unknown keyword arguments are rejected per loss."""
+def make_loss(name: str, **params) -> Loss:
+    """Build the :class:`Loss` named by one of BASELINE_KINDS or 'afl',
+    checking its parameters.  Unknown keyword arguments are rejected per
+    loss; dice takes neither eps nor reduction and ignores them."""
     name = name.lower()
     if name not in _LOSS_PARAMS:
         raise ParameterError(f"unknown loss {name!r}")
@@ -305,11 +380,17 @@ def make_loss(name: str, **params):
     if name == "afl":
         from . import adaptive  # deferred: adaptive builds on this module
 
-        afl_params = adaptive.AflParams(**kw, eps_clip=eps)
-        return lambda pred, gt: adaptive.afl(pred, gt, afl_params, reduction=reduction)[0]
+        return adaptive.afl_loss(adaptive.AflParams(**kw, eps_clip=eps), reduction)
     if name == "dice":
-        return lambda pred, gt: dice(pred, gt, **kw)
-    if name in ("wbce", "balanced_ce", "soft_iou"):
-        return lambda pred, gt: aux_loss(name, pred, gt, eps=eps, reduction=reduction, **kw)
-    fn = {"bce": bce, "focal": focal, "poly": poly, "nfl": nfl}[name]
-    return lambda pred, gt: fn(pred, gt, **kw, eps=eps, reduction=reduction)
+        smooth = check_nonnegative("smooth", kw["smooth"])
+        return Loss(partial(_ratio_step, kernel=partial(_dice_kernel, smooth=smooth)))
+    _check_reduction(reduction)
+    check_eps_clip(eps)
+    if name == "soft_iou":
+        return Loss(partial(_ratio_step, kernel=_soft_iou_kernel))
+    if name in ("wbce", "balanced_ce"):
+        return Loss(partial(_weighted_ce_step, kind=name, beta=kw["beta"], eps=eps, reduction=reduction))
+    gamma = _check_gamma(kw.get("gamma", 0.0))
+    alpha = float(check_nonnegative("alpha", kw.get("alpha", 0.0)))
+    return Loss(partial(_powlog_step, gamma=gamma, alpha=alpha, eps=eps, reduction=reduction,
+                        normalized=name == "nfl"))

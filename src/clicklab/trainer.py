@@ -6,6 +6,12 @@ gradient is just the chain through the logistic nonlinearity.  Training
 clicks are fixed up front (one positive at the foreground interior point,
 one negative at the background interior point), which keeps every run a
 deterministic function of (sample, config).
+
+``train`` validates the config, the loss parameters and the ground truth
+once and binds the loss to the ground truth.  Each step runs trusted
+kernels, with one finiteness check each of the probabilities, the loss and
+the updated parameters; a failed check is divergence at that step.  The
+model and log equal those of a loop of validated loss calls bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ import numpy as np
 from scipy.special import expit
 
 from .clicksim import DEFAULT_CLICK_RADIUS, ClickRecord, encode_clicks, interior_point
-from .core import ParameterError, TrainingError, binarize, iou
-from .losses import make_loss
+from .core import ParameterError, TrainingError, check_nonnegative
+from .losses import Target, make_loss
 from .synthgen import SynthSample
 
 LOG_COLUMNS = ("step", "loss", "iou", "gamma_a", "gamma_d", "mu")
@@ -33,11 +39,8 @@ class PixelModel:
     weights: np.ndarray  # one per input channel
     bias: float
 
-    def logits(self, channels: np.ndarray) -> np.ndarray:
-        return np.tensordot(channels, self.weights, axes=([-1], [0])) + self.bias
-
     def predict_probs(self, channels: np.ndarray) -> np.ndarray:
-        return expit(self.logits(channels))
+        return expit(np.tensordot(channels, self.weights, axes=([-1], [0])) + self.bias)
 
     def to_json(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": float(self.bias)}
@@ -68,9 +71,8 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
-        if self.learning_rate < 0.0:
-            # 0 is allowed: a no-op run is the cheapest determinism probe
-            raise ParameterError("learning_rate must be >= 0")
+        # 0 is allowed: a no-op run is the cheapest determinism probe
+        check_nonnegative("learning_rate", self.learning_rate)
         if self.optimizer not in ("sgd", "adam"):
             raise ParameterError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         return self
@@ -109,42 +111,57 @@ def train(sample: SynthSample, config: TrainConfig = TrainConfig()):
         raise ParameterError(f"instance_index {config.instance_index} out of range")
     gt = sample.gt_instances[config.instance_index]
     channels = training_channels(sample, gt, DEFAULT_CLICK_RADIUS)
-    loss_fn = make_loss(config.loss, **config.loss_params)
+    target = Target(gt)
+    loss_step = make_loss(config.loss, **config.loss_params).bind(target)
 
-    n_params = channels.shape[-1] + 1
-    theta = np.zeros(n_params)
-    m = np.zeros(n_params)
-    v = np.zeros(n_params)
+    c = channels.shape[-1]
+    # the operands np.tensordot builds: the logits use the contiguous
+    # (h*w, c) view, the weight gradient the strided (c, h*w) view (a
+    # contiguous copy of it changes BLAS's summation order)
+    pixels = channels.reshape(-1, c)
+    by_channel = channels.transpose(2, 0, 1).reshape(c, -1)
+    theta = np.zeros(c + 1)
+    m = np.zeros(c + 1)
+    v = np.zeros(c + 1)
+    grad = np.empty(c + 1)
     logs = []
 
-    for step in range(1, config.steps + 1):
-        model = PixelModel(theta[:-1], theta[-1])
-        probs = model.predict_probs(channels)
-        out = loss_fn(probs, gt)
-        if not np.isfinite(out.value):
-            raise TrainingError(f"non-finite loss at step {step}")
-        g_z = logit_chain(out.grad_wrt_prob, probs)
-        grad = np.append(
-            np.tensordot(channels, g_z, axes=([0, 1], [0, 1])), g_z.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked explicitly
+        for step in range(1, config.steps + 1):
+            probs = np.dot(pixels, theta[:-1].reshape(c, 1)).reshape(gt.shape)
+            probs += theta[-1]
+            expit(probs, out=probs)
+            if not np.isfinite(probs).all():
+                raise TrainingError(f"training diverged at step {step}: non-finite probabilities")
+            value, g_z, diag = loss_step(probs)
+            if not np.isfinite(value):
+                raise TrainingError(f"training diverged at step {step}: non-finite loss")
+            g_z *= probs
+            g_z *= 1.0 - probs  # dL/dz = dL/dp * p * (1-p)
+            grad[:-1] = np.dot(by_channel, g_z.reshape(-1, 1)).ravel()
+            grad[-1] = g_z.sum()
 
-        diag = out.diagnostics
-        logs.append({
-            "step": step,
-            "loss": out.value,
-            "iou": iou(binarize(probs, 0.5), gt),
-            "gamma_a": diag.get("gamma_a", float("nan")),
-            "gamma_d": diag.get("gamma_d", float("nan")),
-            "mu": diag.get("mu", float("nan")),
-        })
+            positive = probs >= 0.5
+            union = int(np.count_nonzero(positive | target.fg))
+            logs.append({
+                "step": step,
+                "loss": value,
+                "iou": int(np.count_nonzero(positive & target.fg)) / union if union else 1.0,
+                "gamma_a": diag.get("gamma_a", float("nan")),
+                "gamma_d": diag.get("gamma_d", float("nan")),
+                "mu": diag.get("mu", float("nan")),
+            })
 
-        if config.optimizer == "sgd":
-            theta = theta - config.learning_rate * grad
-        else:
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1.0 - ADAM_BETA1 ** step)
-            v_hat = v / (1.0 - ADAM_BETA2 ** step)
-            theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            if config.optimizer == "sgd":
+                theta = theta - config.learning_rate * grad
+            else:
+                m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+                v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+                m_hat = m / (1.0 - ADAM_BETA1 ** step)
+                v_hat = v / (1.0 - ADAM_BETA2 ** step)
+                theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            if not np.isfinite(theta).all():
+                raise TrainingError(f"training diverged at step {step}: non-finite model parameters")
 
     return PixelModel(theta[:-1], theta[-1]), logs
 

@@ -6,7 +6,7 @@ lex-min assignment, value-only central differences for gradients (one
 pixel and one validated loss call at a time), one full-image pass per error
 component or click disk for click placement and click encoding, one query
 at a time through the decoder, and one fully validated loss evaluation per
-matching pair.
+matching pair, and one validated loss call per training step.
 """
 
 from __future__ import annotations
@@ -21,17 +21,19 @@ from scipy.special import expit
 
 from scipy.optimize import linear_sum_assignment
 
-from clicklab import adaptive, attention, losses, matching
-from clicklab.clicksim import ClickRecord, interior_point
+from clicklab import adaptive, attention, losses, matching, trainer
+from clicklab.clicksim import DEFAULT_CLICK_RADIUS, ClickRecord, interior_point
 from clicklab.core import (
     DEFAULT_EPS_CLIP,
     ClickLabError,
     DimensionError,
     ParameterError,
     PerfectPredictionError,
+    TrainingError,
     as_binary_mask,
     binarize,
     check_same_shape,
+    iou,
     pt_map,
 )
 
@@ -97,6 +99,18 @@ def central_diff(value_fn, prob: np.ndarray, h: float = 1e-6) -> np.ndarray:
         work[idx] = orig
         grad[idx] = (up - down) / (2.0 * h)
     return grad
+
+
+def reference_powlog_terms(pt, omp, mod, g, alpha, mu, grad=True):
+    """``losses._powlog_terms`` as plain expressions, each operation
+    allocating its result."""
+    log_pt = np.log(pt)
+    value_px = -mu * mod * log_pt + alpha * losses._power(omp, g + 1.0)
+    if not grad:
+        return value_px, None
+    with np.errstate(divide="ignore"):
+        omp_pow_gm1 = np.where(omp > 0.0, losses._power(omp, g - 1.0), 0.0)
+    return value_px, mu * g * log_pt * omp_pow_gm1 - mu * mod / pt - alpha * (g + 1.0) * mod
 
 
 def reference_central_difference_grad(value_fn, prob: np.ndarray) -> np.ndarray:
@@ -338,3 +352,57 @@ def reference_hungarian(cost) -> matching.MatchResult:
         pair_costs=pair_costs,
         total_cost=float(sum(pair_costs)),
     )
+
+
+# ---------------------------------------------------------------------------
+# training, one validated loss call per step
+# ---------------------------------------------------------------------------
+
+def reference_train(sample, config):
+    """``trainer.train`` calling the public loss on each step: every step
+    re-validates the probability map and the ground truth, builds the
+    logits and the weight gradient with ``np.tensordot`` and the IoU with
+    ``binarize`` and ``iou``."""
+    config.validate()
+    if not (0 <= config.instance_index < len(sample.gt_instances)):
+        raise ParameterError(f"instance_index {config.instance_index} out of range")
+    gt = sample.gt_instances[config.instance_index]
+    channels = trainer.training_channels(sample, gt, DEFAULT_CLICK_RADIUS)
+    loss_fn = losses.make_loss(config.loss, **config.loss_params)
+
+    n_params = channels.shape[-1] + 1
+    theta = np.zeros(n_params)
+    m = np.zeros(n_params)
+    v = np.zeros(n_params)
+    logs = []
+
+    for step in range(1, config.steps + 1):
+        model = trainer.PixelModel(theta[:-1], theta[-1])
+        probs = model.predict_probs(channels)
+        out = loss_fn(probs, gt)
+        if not np.isfinite(out.value):
+            raise TrainingError(f"non-finite loss at step {step}")
+        g_z = trainer.logit_chain(out.grad_wrt_prob, probs)
+        grad = np.append(
+            np.tensordot(channels, g_z, axes=([0, 1], [0, 1])), g_z.sum())
+
+        diag = out.diagnostics
+        logs.append({
+            "step": step,
+            "loss": out.value,
+            "iou": iou(binarize(probs, 0.5), gt),
+            "gamma_a": diag.get("gamma_a", float("nan")),
+            "gamma_d": diag.get("gamma_d", float("nan")),
+            "mu": diag.get("mu", float("nan")),
+        })
+
+        if config.optimizer == "sgd":
+            theta = theta - config.learning_rate * grad
+        else:
+            m = trainer.ADAM_BETA1 * m + (1.0 - trainer.ADAM_BETA1) * grad
+            v = trainer.ADAM_BETA2 * v + (1.0 - trainer.ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - trainer.ADAM_BETA1 ** step)
+            v_hat = v / (1.0 - trainer.ADAM_BETA2 ** step)
+            theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + trainer.ADAM_EPS)
+
+    return trainer.PixelModel(theta[:-1], theta[-1]), logs

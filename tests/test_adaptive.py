@@ -5,7 +5,7 @@ import pytest
 
 from clicklab import adaptive, losses
 from clicklab.core import DimensionError, DomainError, ParameterError, rng_stream
-from oracles import central_diff
+from oracles import bits, central_diff
 
 ONE = np.array([[1]], dtype=np.uint8)
 
@@ -178,6 +178,28 @@ def test_afl_params_validation():
         adaptive.AflParams(delta=1.2).validate()
     with pytest.raises(ParameterError):
         adaptive.AflParams(alpha=-0.1).validate()
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            adaptive.AflParams(alpha=alpha).validate()
+
+
+def test_single_map_coefficients_equal_batched_ones_bit_for_bit():
+    # the float path of one map against the (1, 1) case of the batched
+    # path; gamma 0.5 and 2.0 with ADA off hit numpy's sqrt and square
+    rng = rng_stream(31, "test/afl_map_coeffs")
+    for case in range(60):
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        pred = rng.uniform(0.0, 1.0, size=(h, w))
+        gt = (rng.random((h, w)) < rng.uniform(0.0, 1.0)).astype(np.uint8)
+        gamma = [0.5, 2.0, float(rng.uniform(0.0, 5.0))][case % 3]
+        params = adaptive.AflParams(gamma=gamma, delta=float(rng.uniform(0.0, 1.0)),
+                                    ada_enabled=case % 4 != 0, agr_enabled=case % 5 != 0)
+        target = losses.Target(gt)
+        pt, _ = target.pt_and_chain(pred, params.eps_clip)
+        diag, omp, mod = adaptive._afl_map_coeffs(pt, target.fg_index, params)
+        coeffs, omp_b, mod_b = adaptive._afl_coeffs(pt[None, None], target.fg[None], params)
+        assert repr(diag.as_dict()) == repr({k: v.item() for k, v in vars(coeffs).items()})
+        assert bits(omp) == bits(omp_b[0, 0]) and bits(mod) == bits(mod_b[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +165,8 @@ MALFORMED_FILES = {
     "text_bias.json": json.dumps({"weights": [0.0] * 6, "bias": "b"}),
 }
 NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out {tmp}/t.json "
+LOSS_EVAL = "loss eval --pred {tmp}/ok.pm --gt {tmp}/ok.pgm "
+TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,6 +206,17 @@ NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out 
     "loss curve --pt-points 0 --out {tmp}/c.csv",
     "synth gen --spec {tmp}/spec.json --out {tmp}/d --count 0",
     "synth gen --spec {tmp}/spec.json --out {tmp}/d --count -1",
+    LOSS_EVAL + "--loss poly --alpha nan",
+    LOSS_EVAL + "--loss poly --alpha inf",
+    LOSS_EVAL + "--loss afl --alpha nan",
+    LOSS_EVAL + "--loss afl --alpha inf",
+    LOSS_EVAL + "--loss wbce --beta nan",
+    LOSS_EVAL + "--loss wbce --beta inf",
+    LOSS_EVAL + "--loss dice --smooth nan",
+    LOSS_EVAL + "--loss dice --smooth inf",
+    TRAIN_DEMO + "--alpha nan",
+    TRAIN_DEMO + "--lr nan",
+    TRAIN_DEMO + "--lr inf",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
@@ -211,7 +226,9 @@ NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out 
         "model_nested_weights", "model_text_bias", "train_seed_removed", "grad_check_zero_cases",
         "grad_check_negative_cases", "identity_check_zero_cases", "attention_negative_clicks",
         "curve_alpha_negative", "curve_alpha_nan", "curve_zero_pt_points",
-        "synth_zero_count", "synth_negative_count"])
+        "synth_zero_count", "synth_negative_count", "poly_alpha_nan", "poly_alpha_inf",
+        "afl_alpha_nan", "afl_alpha_inf", "wbce_beta_nan", "wbce_beta_inf", "dice_smooth_nan",
+        "dice_smooth_inf", "train_alpha_nan", "train_lr_nan", "train_lr_inf"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).write_text(text)
@@ -223,6 +240,31 @@ def test_malformed_input_exit_two(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_train_divergence_exits_one_naming_the_step(capsys, tmp_path):
+    (tmp_path / "spec.json").write_text(MALFORMED_FILES["spec.json"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy RuntimeWarnings would raise instead
+        code = main(TRAIN_DEMO.format(tmp=tmp_path).split() + ["--lr", "1e308"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at step 1") and err.count("\n") == 1
+
+
+def test_train_demo_outputs_pinned(capsys, tmp_path):
+    # model.json and log.csv of one fixed run; any change to the training
+    # arithmetic, its order or its output format moves this digest
+    spec = {"height": 40, "width": 40, "n_instances": 2, "shape_kind": "blob",
+            "boundary_noise": 0.5, "seed": 9}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    run = tmp_path / "run"
+    code, _ = run_cli(capsys, "train", "demo", "--loss", "afl", "--steps", "80", "--instance", "1",
+                      "--spec", str(tmp_path / "spec.json"), "--out", str(run))
+    assert code == 0
+    data = (run / "model.json").read_bytes() + (run / "log.csv").read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == "384e63260527acf3b9741b7a0f29206c0d6f02b77b7cf5237d1e846dbd3db81c"
 
 
 def test_match_instances_dir(capsys, tmp_path):

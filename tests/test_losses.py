@@ -5,7 +5,7 @@ import pytest
 
 from clicklab import losses
 from clicklab.core import DEFAULT_EPS_CLIP, ParameterError, _pt_kernel, as_prob_stack, rng_stream
-from oracles import bits, central_diff
+from oracles import bits, central_diff, reference_powlog_terms
 
 ONE = np.array([[1]], dtype=np.uint8)
 
@@ -302,6 +302,26 @@ def test_powlog_kernel_per_map_exponents_equal_scalar_calls():
                 assert bits(values[i, j]) == bits(want), (g[i, j], grad)
                 if grad:
                     assert bits(grads[i, j]) == bits(want_grad), g[i, j]
+
+
+def test_in_place_powlog_terms_equal_plain_expressions():
+    # float and per-map coefficients, exponents on numpy's fast paths, pt = 1
+    rng = rng_stream(25, "test/in_place_powlog")
+    for _ in range(20):
+        k, m = (int(v) for v in rng.integers(1, 5, size=2))
+        pt = np.maximum(rng.uniform(0.0, 1.0, size=(k, m, 9, 7)), DEFAULT_EPS_CLIP)
+        pt[0, 0, 0, :] = 1.0
+        g = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, float(rng.uniform(0.0, 5.0))], size=(k, m))
+        mu = rng.uniform(0.5, 2.0, size=(k, m))
+        alpha = float(rng.uniform(0.0, 2.0))
+        for coeffs in ((g[..., None, None], mu[..., None, None]), (float(g[0, 0]), float(mu[0, 0]))):
+            omp = 1.0 - pt
+            mod = losses._power(omp, coeffs[0])
+            for grad in (False, True):
+                got = losses._powlog_terms(pt, omp, mod, coeffs[0], alpha, coeffs[1], grad)
+                want = reference_powlog_terms(pt, omp, mod, coeffs[0], alpha, coeffs[1], grad)
+                assert [bits(a) if a is not None else None for a in got] == \
+                    [bits(a) if a is not None else None for a in want]
 
 
 def test_per_map_power_equals_float_exponent_power():

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from clicklab import synthgen, trainer
-from clicklab.core import ParameterError
+from clicklab.core import ParameterError, TrainingError
+from oracles import reference_train
 
 
 def disk_sample(seed=11):
@@ -26,6 +29,9 @@ def test_config_validation():
         trainer.TrainConfig(learning_rate=-0.1).validate()
     with pytest.raises(ParameterError):
         trainer.TrainConfig(optimizer="adamw").validate()
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            trainer.TrainConfig(learning_rate=lr).validate()
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
@@ -138,3 +144,45 @@ def test_model_json_roundtrip():
     back = trainer.PixelModel.from_json(m.to_json())
     np.testing.assert_array_equal(back.weights, m.weights)
     assert back.bias == m.bias
+
+
+SWEPT_LOSSES = [
+    ("bce", {}), ("wbce", {}), ("balanced_ce", {"beta": 0.3}), ("soft_iou", {}),
+    ("focal", {"gamma": 2.0}), ("nfl", {"gamma": 1.5, "reduction": "mean"}),
+    ("poly", {"gamma": 0.5, "alpha": 2.0}), ("dice", {}), ("afl", {}),
+]
+
+
+def assert_same_run(got, want):
+    (model, logs), (ref_model, ref_logs) = got, want
+    assert repr(model.weights.tolist()) == repr(ref_model.weights.tolist())
+    assert repr(model.bias) == repr(ref_model.bias)
+    assert [[repr(row[c]) for c in trainer.LOG_COLUMNS] for row in logs] == \
+        [[repr(row[c]) for c in trainer.LOG_COLUMNS] for row in ref_logs]
+
+
+@pytest.mark.parametrize("name,params", SWEPT_LOSSES, ids=[n for n, _ in SWEPT_LOSSES])
+def test_train_equals_reference_loop_bit_for_bit(name, params):
+    # the bound, trusted step loop against the loop of validated loss calls
+    for seed in (1, 2, 3):
+        sample = synthgen.generate(synthgen.SynthSpec(32, 32, 2, "blob", 1.0, False, seed=seed))
+        for optimizer, lr in (("sgd", 0.005), ("adam", 0.5)):
+            cfg = trainer.TrainConfig(loss=name, loss_params=params, steps=30, learning_rate=lr,
+                                      optimizer=optimizer, instance_index=seed % 2)
+            assert_same_run(trainer.train(sample, cfg), reference_train(sample, cfg))
+
+
+def test_train_equals_reference_loop_at_benchmark_size():
+    sample = synthgen.generate(synthgen.SynthSpec(128, 128, 2, "blob", 0.0, False, seed=5))
+    cfg = trainer.TrainConfig(loss="afl", steps=500, optimizer="adam")
+    assert_same_run(trainer.train(sample, cfg), reference_train(sample, cfg))
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_divergence_is_a_training_error_naming_the_step(optimizer):
+    sample = disk_sample()
+    cfg = trainer.TrainConfig(loss="afl", steps=5, learning_rate=1e308, optimizer=optimizer)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise instead
+        with pytest.raises(TrainingError, match="at step 1"):
+            trainer.train(sample, cfg)
