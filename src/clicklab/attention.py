@@ -13,8 +13,8 @@ click-to-query information flow.  One block applies, in order:
 first read, once per ScaleFeatures), a bias-free linear lift to the feature
 dimension, a product with the rectified queries, and an elementwise affine
 map.  Attention masks come from binarizing each query's current mask
-prediction; a fully masked row is reset to unmasked before softmax, which
-keeps every row a valid distribution.
+prediction at 0.5; a fully masked row is reset to unmasked before softmax,
+which keeps every row a valid distribution.
 
 A forward pass cycles the blocks over three coarse-to-fine scales.  As in
 Mask2Former the per-layer state is plain arrays: the (N, d) queries and the
@@ -32,7 +32,7 @@ from scipy import ndimage
 from scipy.special import expit
 
 from .clicksim import DEFAULT_CLICK_RADIUS, encode_clicks
-from .core import ClickLabError, DimensionError, ParameterError, as_prob_map, binarize, rng_stream
+from .core import ClickLabError, DimensionError, ParameterError, binarize, rng_stream
 from .matching import InstancePrediction
 
 _SCALE_FRACTIONS = (32, 16, 8)  # coarse-to-fine denominators; pixel embed at 1/4
@@ -120,27 +120,14 @@ def resize_nearest(arr: np.ndarray, h: int, w: int) -> np.ndarray:
     return arr[..., rows[:, None], cols]
 
 
-def _attn_rows(probs: np.ndarray, threshold: float) -> np.ndarray:
+def _attn_rows(probs: np.ndarray) -> np.ndarray:
     """(N, h*w) {0, -inf} rows, 0 where an (N, h, w) prediction stack is
     foreground.  An all-background row would mask everything, so it is reset
     to all-0 (unmasked) to keep the softmax well defined."""
-    fg = binarize(probs.reshape(len(probs), -1), threshold)
+    fg = binarize(probs.reshape(len(probs), -1))
     mask = np.where(fg == 1, 0.0, -np.inf)
     mask[~fg.any(axis=1)] = 0.0
     return mask
-
-
-def attn_mask_from_pred(mask_pred, threshold: float = 0.5) -> np.ndarray:
-    """Flat {0, -inf} row of one prediction (see ``_attn_rows``)."""
-    return _attn_rows(as_prob_map(mask_pred)[None], threshold)[0]
-
-
-def stack_attn_masks(mask_preds, threshold: float, h: int, w: int) -> np.ndarray:
-    """Per-query mask rows of equal-shape predictions, resized (nearest) to h x w."""
-    probs = np.asarray(mask_preds, dtype=np.float64)
-    if probs.ndim != 3:
-        raise DimensionError(f"expected a stack of 2-D mask predictions, got shape {probs.shape}")
-    return _attn_rows(resize_nearest(probs, h, w), threshold)
 
 
 def click_attention_matrix(scale: ScaleFeatures, queries: np.ndarray,
@@ -238,7 +225,7 @@ def camd_forward(scales, pixel_embed: ScaleFeatures, params: AttentionParams,
         scale = scales[layer % 3]
         # the logistic is elementwise, so only the resized logits need it
         logits = resize_nearest(_mask_logits(x, pixel_embed, params), scale.h, scale.w)
-        x = camd_layer(x, _attn_rows(expit(logits), 0.5), scale, params, collect, layer)
+        x = camd_layer(x, _attn_rows(expit(logits)), scale, params, collect, layer)
     return predict_heads(x, pixel_embed, params)
 
 

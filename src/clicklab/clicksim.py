@@ -227,15 +227,12 @@ class TrainedPredictor:
 # simulation loop and metrics
 # ---------------------------------------------------------------------------
 
-def run_noc(predictor, features, gt, thresholds=DEFAULT_THRESHOLDS,
-            max_clicks: int = DEFAULT_MAX_CLICKS, sample_id: str = "") -> SimTrace:
-    """Click-predict-score loop; stops at the top threshold or the click cap."""
+def run_noc(predictor, features, gt, max_clicks: int = DEFAULT_MAX_CLICKS,
+            sample_id: str = "") -> SimTrace:
+    """Click-predict-score loop; stops at IoU 0.90 or the click cap."""
     y = as_binary_mask(gt)
     if not y.any():
         raise ParameterError("ground truth must contain foreground")
-    lo, hi = sorted(float(t) for t in thresholds)
-    if not (0.0 < lo <= hi <= 1.0):
-        raise ParameterError(f"thresholds must lie in (0, 1], got {thresholds}")
     if max_clicks < 1:
         raise ParameterError("max_clicks must be >= 1")
 
@@ -243,20 +240,18 @@ def run_noc(predictor, features, gt, thresholds=DEFAULT_THRESHOLDS,
     ious: list[float] = []
     for step in range(1, max_clicks + 1):
         prob = predictor.predict(features, clicks)
-        mask = binarize(prob, 0.5)
+        mask = binarize(prob)
         check_same_shape(mask, y)
         score = iou(mask, y)
-        if not np.isfinite(score):
-            raise ParameterError(f"non-finite IoU from predictor at click {step}")
         ious.append(score)
-        if score >= hi:
+        if score >= DEFAULT_THRESHOLDS[1]:
             break
         if step < max_clicks:
             clicks.append(next_click(mask, y, prior=clicks))
 
-    noc_lo, failed_lo = _noc_at(ious, lo, max_clicks)
-    noc_hi, failed_hi = _noc_at(ious, hi, max_clicks)
-    return SimTrace(clicks, ious, noc_lo, noc_hi, failed_lo, failed_hi, sample_id)
+    noc85, failed85 = _noc_at(ious, DEFAULT_THRESHOLDS[0], max_clicks)
+    noc90, failed90 = _noc_at(ious, DEFAULT_THRESHOLDS[1], max_clicks)
+    return SimTrace(clicks, ious, noc85, noc90, failed85, failed90, sample_id)
 
 
 def _noc_at(ious, threshold, max_clicks):

@@ -135,12 +135,9 @@ def iou(pred_mask, gt) -> float:
     return inter / union
 
 
-def binarize(pred, threshold: float = 0.5) -> np.ndarray:
-    """Threshold a probability map; the comparison is inclusive (p >= t -> 1)."""
-    if not (0.0 < threshold < 1.0):
-        raise ParameterError(f"threshold must be in (0, 1), got {threshold}")
-    p = as_prob_map(pred)
-    return (p >= threshold).astype(np.uint8)
+def binarize(pred) -> np.ndarray:
+    """Threshold a probability map at 0.5, inclusively (p >= 0.5 -> 1)."""
+    return (as_prob_map(pred) >= 0.5).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import adaptive, losses
 from .core import (DEFAULT_EPS_CLIP, DimensionError, ParameterError, _pt_kernel, as_binary_mask,
-                   as_prob_map)
+                   as_prob_map, check_nonnegative)
 
 _TIE_RTOL = 1e-9
 # float64 elements per (k, M, h, w) temporary of _cost_matrix (128 KB)
@@ -77,8 +77,7 @@ class LossWeights:
 
     def validate(self) -> "LossWeights":
         for name in ("lambda_mask", "lambda_cli", "lambda_afl", "lambda_dice", "unclick_weight"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be >= 0")
+            check_nonnegative(name, getattr(self, name))
         return self
 
 
@@ -100,13 +99,15 @@ def pair_cost(pred: InstancePrediction, gt: GroundTruthInstance,
               weights: LossWeights = LossWeights(),
               afl_params: adaptive.AflParams = adaptive.AflParams()) -> float:
     """Matching cost of one (prediction, ground truth) pair."""
+    weights.validate()
+    afl_params.validate()
     return float(_cost_matrix([pred], [gt], weights, afl_params)[0, 0])
 
 
 def _cost_matrix(preds: list, gts: list, weights: LossWeights,
                  afl_params: adaptive.AflParams) -> np.ndarray:
-    """N x M pair costs.  The dataclasses validated every map, so only shapes
-    and parameters are checked here, once.
+    """N x M pair costs.  The dataclasses validated every map and the caller
+    the parameters, so only shapes are checked here.
 
     pt, the AFL coefficients, the AFL values and dice are computed over a
     (k, M, h, w) block of k prediction rows at a time.  k is the largest
@@ -122,8 +123,6 @@ def _cost_matrix(preds: list, gts: list, weights: LossWeights,
     and ``losses._power`` recomputes the maps whose exponent numpy
     special-cases.
     """
-    weights.validate()
-    afl_params.validate()
     shapes = {pr.mask_probs.shape for pr in preds} | {gt.mask.shape for gt in gts}
     if len(shapes) > 1:
         raise DimensionError(f"mask shapes differ: {sorted(shapes)}")
@@ -247,6 +246,7 @@ def total_loss(preds: list, gts: list,
     if not preds:
         raise ParameterError("total_loss needs at least one prediction")
     weights.validate()
+    afl_params.validate()
 
     if gts:
         cost = _cost_matrix(preds, gts, weights, afl_params)

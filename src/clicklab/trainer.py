@@ -17,12 +17,12 @@ model and log equal those of a loop of validated loss calls bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .clicksim import DEFAULT_CLICK_RADIUS, ClickRecord, encode_clicks, interior_point
+from .clicksim import ClickRecord, encode_clicks, interior_point
 from .core import ParameterError, TrainingError, check_nonnegative
 from .losses import Target, make_loss
 from .synthgen import SynthSample
@@ -87,7 +87,7 @@ def logit_chain(grad_wrt_prob: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return g * p * (1.0 - p)
 
 
-def training_channels(sample: SynthSample, gt: np.ndarray, radius: float) -> np.ndarray:
+def training_channels(sample: SynthSample, gt: np.ndarray) -> np.ndarray:
     """Feature stack + one positive and one negative training click disk."""
     h, w = gt.shape
     pos_click = ClickRecord(*interior_point(gt), positive=True, index=1)
@@ -95,7 +95,7 @@ def training_channels(sample: SynthSample, gt: np.ndarray, radius: float) -> np.
     clicks = [pos_click]
     if bg.any():
         clicks.append(ClickRecord(*interior_point(bg), positive=False, index=2))
-    pos, neg = encode_clicks(clicks, h, w, radius=radius)
+    pos, neg = encode_clicks(clicks, h, w)
     return np.concatenate([sample.feature_map, pos[..., None], neg[..., None]], axis=-1)
 
 
@@ -110,7 +110,7 @@ def train(sample: SynthSample, config: TrainConfig = TrainConfig()):
     if not (0 <= config.instance_index < len(sample.gt_instances)):
         raise ParameterError(f"instance_index {config.instance_index} out of range")
     gt = sample.gt_instances[config.instance_index]
-    channels = training_channels(sample, gt, DEFAULT_CLICK_RADIUS)
+    channels = training_channels(sample, gt)
     target = Target(gt)
     loss_step = make_loss(config.loss, **config.loss_params).bind(target)
 
@@ -164,33 +164,6 @@ def train(sample: SynthSample, config: TrainConfig = TrainConfig()):
                 raise TrainingError(f"training diverged at step {step}: non-finite model parameters")
 
     return PixelModel(theta[:-1], theta[-1]), logs
-
-
-def compare_losses(sample: SynthSample, loss_specs, config: TrainConfig = TrainConfig(),
-                   out_dir: str | None = None):
-    """Train one model per loss from the same initialization.
-
-    ``loss_specs`` is a list of ``(name, params)`` pairs or bare names.
-    Returns comparison rows; optionally writes one loss-curve CSV per entry.
-    """
-    rows = []
-    for entry in loss_specs:
-        name, params = entry if isinstance(entry, tuple) else (entry, {})
-        model, logs = train(sample, replace(config, loss=name, loss_params=params))
-        label = name if not params else f"{name}({','.join(f'{k}={v}' for k, v in sorted(params.items()))})"
-        rows.append({
-            "label": label,
-            "final_loss": logs[-1]["loss"],
-            "final_iou": logs[-1]["iou"],
-            "model": model,
-            "log": logs,
-        })
-        if out_dir is not None:
-            from .fileio import atomic_write_text
-
-            safe = label.replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
-            atomic_write_text(f"{out_dir}/curve_{safe}.csv", format_log_csv(logs))
-    return rows
 
 
 def format_log_csv(logs) -> str:

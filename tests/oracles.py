@@ -22,7 +22,7 @@ from scipy.special import expit
 from scipy.optimize import linear_sum_assignment
 
 from clicklab import adaptive, attention, losses, matching, trainer
-from clicklab.clicksim import DEFAULT_CLICK_RADIUS, ClickRecord, interior_point
+from clicklab.clicksim import ClickRecord, interior_point
 from clicklab.core import (
     DEFAULT_EPS_CLIP,
     ClickLabError,
@@ -192,19 +192,18 @@ def _reference_resize(arr, h, w):
     return arr[np.ix_(rows, cols)]
 
 
-def _reference_attn_row(mask_pred, threshold):
-    fg = binarize(mask_pred, threshold).ravel()
+def _reference_attn_row(mask_pred):
+    fg = binarize(mask_pred).ravel()
     row = np.where(fg == 1, 0.0, -np.inf)
     if not np.isfinite(row).any():
         row = np.zeros_like(row)
     return row
 
 
-def reference_stack_attn_masks(mask_preds, threshold, h, w):
-    """``attention.stack_attn_masks``, one prediction at a time."""
-    return np.stack([
-        _reference_attn_row(_reference_resize(p, h, w), threshold) for p in mask_preds
-    ])
+def reference_stack_attn_masks(mask_preds, h, w):
+    """``attention._attn_rows`` of the stack resized to h x w, one prediction
+    at a time."""
+    return np.stack([_reference_attn_row(_reference_resize(p, h, w)) for p in mask_preds])
 
 
 def _reference_layer(x, attn_mask, scale, params, layer, collect):
@@ -250,7 +249,7 @@ def reference_camd_forward(scales, pixel_embed, params, blocks, collect=None):
     preds = _reference_heads(x, pixel_embed, params)
     for layer in range(3 * blocks):
         scale = scales[layer % 3]
-        mask = reference_stack_attn_masks([p.mask_probs for p in preds], 0.5, scale.h, scale.w)
+        mask = reference_stack_attn_masks([p.mask_probs for p in preds], scale.h, scale.w)
         x = _reference_layer(x, mask, scale, params, layer, collect)
         preds = _reference_heads(x, pixel_embed, params)
     return preds
@@ -367,7 +366,7 @@ def reference_train(sample, config):
     if not (0 <= config.instance_index < len(sample.gt_instances)):
         raise ParameterError(f"instance_index {config.instance_index} out of range")
     gt = sample.gt_instances[config.instance_index]
-    channels = trainer.training_channels(sample, gt, DEFAULT_CLICK_RADIUS)
+    channels = trainer.training_channels(sample, gt)
     loss_fn = losses.make_loss(config.loss, **config.loss_params)
 
     n_params = channels.shape[-1] + 1
@@ -390,7 +389,7 @@ def reference_train(sample, config):
         logs.append({
             "step": step,
             "loss": out.value,
-            "iou": iou(binarize(probs, 0.5), gt),
+            "iou": iou(binarize(probs), gt),
             "gamma_a": diag.get("gamma_a", float("nan")),
             "gamma_d": diag.get("gamma_d", float("nan")),
             "mu": diag.get("mu", float("nan")),

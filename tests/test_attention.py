@@ -9,6 +9,11 @@ from clicklab.core import ParameterError, rng_stream
 from oracles import bits, reference_camd_forward, reference_stack_attn_masks
 
 
+def attn_rows(preds, h, w):
+    """The decoder's attention-mask rows of a prediction stack resized to h x w."""
+    return attention._attn_rows(attention.resize_nearest(np.asarray(preds, dtype=np.float64), h, w))
+
+
 def toy_params(n=4, d=8, seed=0):
     return attention.AttentionParams.initialize(n, d, seed)
 
@@ -26,18 +31,18 @@ def toy_scale(h, w, d, seed=0, clicks=()):
 # ---------------------------------------------------------------------------
 
 def test_attn_mask_all_foreground_unmasked():
-    row = attention.attn_mask_from_pred(np.full((3, 3), 0.8), 0.5)
+    row = attn_rows([np.full((3, 3), 0.8)], 3, 3)[0]
     np.testing.assert_array_equal(row, np.zeros(9))
 
 
 def test_attn_mask_all_background_resets():
-    row = attention.attn_mask_from_pred(np.full((3, 3), 0.2), 0.5)
+    row = attn_rows([np.full((3, 3), 0.2)], 3, 3)[0]
     np.testing.assert_array_equal(row, np.zeros(9))
 
 
 def test_attn_mask_complement_pattern():
     pred = np.array([[0.9, 0.1], [0.1, 0.9]])
-    row = attention.attn_mask_from_pred(pred, 0.5)
+    row = attn_rows([pred], 2, 2)[0]
     assert row[0] == 0.0 and row[3] == 0.0
     assert np.isneginf(row[1]) and np.isneginf(row[2])
 
@@ -121,7 +126,7 @@ def test_camd_layer_reset_row_equals_unmasked_row():
     x = rng_stream(7, "test/reset").uniform(-1, 1, size=(4, 8))
 
     preds = [np.full((4, 4), 0.9), np.zeros((4, 4)), np.eye(4), np.full((4, 4), 0.6)]
-    mask = attention.stack_attn_masks(preds, 0.5, 4, 4)
+    mask = attn_rows(preds, 4, 4)
     np.testing.assert_array_equal(mask[1], np.zeros(16))
 
     free_attn: list = []
@@ -276,10 +281,9 @@ def test_attn_mask_wrappers_match_reference_rows():
         n, ph, pw, h, w = (int(v) for v in rng.integers(1, 12, size=5))
         preds = rng.random((n, ph, pw)) ** rng.uniform(0.2, 5.0)
         preds[rng.random(n) < 0.3] = 0.1  # all-background rows reset to unmasked
-        got = attention.stack_attn_masks(list(preds), 0.5, h, w)
-        assert bits(got) == bits(reference_stack_attn_masks(preds, 0.5, h, w))
-        for p, row in zip(preds, reference_stack_attn_masks(preds, 0.5, ph, pw)):
-            assert bits(attention.attn_mask_from_pred(p, 0.5)) == bits(row)
+        assert bits(attn_rows(preds, h, w)) == bits(reference_stack_attn_masks(preds, h, w))
+        for p, row in zip(preds, reference_stack_attn_masks(preds, ph, pw)):
+            assert bits(attn_rows([p], ph, pw)[0]) == bits(row)
 
 
 def test_click_map_pooled_once_per_scale(monkeypatch):

@@ -163,6 +163,10 @@ MALFORMED_FILES = {
     "nan_weight.json": json.dumps({"weights": [float("nan")] * 6, "bias": 0.0}),
     "nested_weights.json": json.dumps({"weights": [[0.0] * 6], "bias": 0.0}),
     "text_bias.json": json.dumps({"weights": [0.0] * 6, "bias": "b"}),
+    "costs.json": json.dumps([[1.0, 2.0], [3.0, 1.0]]),
+    # an instances directory of one prediction and no ground truth
+    "pred_00.pm": "PM 1 2\n0.5 0.5\n",
+    "classes.json": json.dumps({"pred_classes": [[0.5, 0.5]], "gt_classes": []}),
 }
 NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out {tmp}/t.json "
 LOSS_EVAL = "loss eval --pred {tmp}/ok.pm --gt {tmp}/ok.pgm "
@@ -217,6 +221,9 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
     TRAIN_DEMO + "--alpha nan",
     TRAIN_DEMO + "--lr nan",
     TRAIN_DEMO + "--lr inf",
+    "match --instances {tmp} --unclick-weight nan",
+    "match --instances {tmp} --lambda-cli inf",
+    "match --costs {tmp}/costs.json --lambda-mask nan",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
@@ -228,7 +235,8 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
         "curve_alpha_negative", "curve_alpha_nan", "curve_zero_pt_points",
         "synth_zero_count", "synth_negative_count", "poly_alpha_nan", "poly_alpha_inf",
         "afl_alpha_nan", "afl_alpha_inf", "wbce_beta_nan", "wbce_beta_inf", "dice_smooth_nan",
-        "dice_smooth_inf", "train_alpha_nan", "train_lr_nan", "train_lr_inf"])
+        "dice_smooth_inf", "train_alpha_nan", "train_lr_nan", "train_lr_inf",
+        "match_unclick_weight_nan", "match_lambda_cli_inf", "match_costs_lambda_mask_nan"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).write_text(text)
@@ -370,6 +378,15 @@ def test_noc_radius_validated(capsys, tmp_path, noc_spec, predictor, radius, cod
     else:
         # disks covering the whole image pin every pixel after the first click
         assert json.loads(out.read_text())["aggregate"]["mean_noc90"] == 1.0
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_noc_count_below_one_is_usage_error(capsys, tmp_path, noc_spec, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["noc", "run", "--predictor", "oracle", "--dataset", noc_spec, "--seed", "1",
+              "--count", count, "--out", str(tmp_path / "t.json")])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("predictor, prefix", [

@@ -89,16 +89,16 @@ def test_iou_symmetric_and_bounded():
 
 
 def test_binarize_threshold_inclusive():
-    assert binarize(np.array([[0.5]]), 0.5)[0, 0] == 1
-    assert binarize(np.array([[0.49]]), 0.5)[0, 0] == 0
-    assert binarize(np.full((3, 3), 0.9), 0.5).all()
+    assert binarize(np.array([[0.5]]))[0, 0] == 1
+    assert binarize(np.array([[0.49]]))[0, 0] == 0
+    assert binarize(np.full((3, 3), 0.9)).all()
 
 
 def test_binarize_monotone():
     rng = rng_stream(5, "test/binarize")
     p = rng.random((8, 8))
-    base = binarize(p, 0.5)
-    bumped = binarize(np.clip(p + 0.05, 0.0, 1.0), 0.5)
+    base = binarize(p)
+    bumped = binarize(np.clip(p + 0.05, 0.0, 1.0))
     assert (bumped >= base).all()
 
 

@@ -299,6 +299,28 @@ def test_total_loss_requires_predictions():
         matching.total_loss([], [])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"afl_params": adaptive.AflParams(gamma=9.0)},
+    {"weights": matching.LossWeights(unclick_weight=float("nan"))},
+    {"weights": matching.LossWeights(lambda_cli=float("inf"))},
+], ids=["gamma_nine", "unclick_nan", "lambda_cli_inf"])
+def test_total_loss_without_ground_truth_validates_parameters(kwargs):
+    pred = matching.InstancePrediction(square_mask().astype(float), np.array([0.5, 0.5]))
+    with pytest.raises(ParameterError):
+        matching.total_loss([pred], [], **kwargs)
+
+
+def test_total_loss_validates_parameters_once(monkeypatch):
+    calls = []
+    for cls in (matching.LossWeights, adaptive.AflParams):
+        real = cls.validate
+        monkeypatch.setattr(cls, "validate",
+                            lambda self, real=real: calls.append(type(self)) or real(self))
+    gt = square_mask()
+    matching.total_loss([perfect_pred(gt)] * 2, [matching.GroundTruthInstance(gt, OBJECT)])
+    assert sorted(c.__name__ for c in calls) == ["AflParams", "LossWeights"]
+
+
 def test_instance_validation():
     with pytest.raises(ParameterError):
         matching.InstancePrediction(np.full((2, 2), 0.5), np.array([0.6, 0.6]))

@@ -93,7 +93,7 @@ def test_analytic_step_matches_finite_difference_step():
 
     sample = synthgen.generate(synthgen.SynthSpec(16, 16, 1, "disk", 0.0, False, seed=7))
     gt = sample.gt_instances[0]
-    channels = trainer.training_channels(sample, gt, radius=3)
+    channels = trainer.training_channels(sample, gt)
     theta = np.full(channels.shape[-1] + 1, 0.1)
     params = adaptive.AflParams()
 
@@ -115,28 +115,6 @@ def test_analytic_step_matches_finite_difference_step():
             - adaptive.afl_value_with_coeffs(probs_at(down), gt, diag0.gamma_d, diag0.mu, params.alpha)
         ) / (2 * h)
     np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-6)
-
-
-def test_compare_losses_single_and_duplicate_rows():
-    sample = disk_sample()
-    cfg = trainer.TrainConfig(steps=10)
-    one = trainer.compare_losses(sample, ["bce"], cfg)
-    assert len(one) == 1 and one[0]["label"] == "bce"
-    two = trainer.compare_losses(sample, ["bce", "bce"], cfg)
-    assert two[0]["final_iou"] == two[1]["final_iou"]
-    assert two[0]["final_loss"] == two[1]["final_loss"]
-
-
-def test_compare_losses_writes_curves(tmp_path):
-    sample = disk_sample()
-    rows = trainer.compare_losses(
-        sample, [("focal", {"gamma": 2.0})], trainer.TrainConfig(steps=5),
-        out_dir=str(tmp_path))
-    csv = (tmp_path / "curve_focal_gamma2.0.csv").read_text()
-    header, *lines = csv.strip().split("\n")
-    assert header == "step,loss,iou,gamma_a,gamma_d,mu"
-    assert len(lines) == 5
-    assert rows[0]["log"][0]["step"] == 1
 
 
 def test_model_json_roundtrip():
