@@ -28,16 +28,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (
-    DEFAULT_EPS_CLIP,
-    DimensionError,
-    DomainError,
-    ParameterError,
-    check_eps_clip,
-    check_nonnegative,
-    pt_map,
-)
-from .losses import Loss, LossOutput, _check_reduction, _power, _powlog_terms, _reduce, powlog_kernel
+from .core import DimensionError, DomainError, ParameterError, check_nonnegative, pt_map
+from .losses import Loss, LossOutput, _power, _powlog_terms, powlog_kernel
 
 MU_FLOOR_PER_PIXEL = 1e-12  # caps mu at 1e12 when the map is near perfect
 
@@ -49,7 +41,6 @@ class AflParams:
     delta: float = 0.4
     ada_enabled: bool = True
     agr_enabled: bool = True
-    eps_clip: float = DEFAULT_EPS_CLIP
 
     def validate(self) -> "AflParams":
         if not (0.0 <= self.gamma <= 5.0):
@@ -57,7 +48,6 @@ class AflParams:
         check_nonnegative("alpha", self.alpha)
         if not (0.0 <= self.delta <= 1.0):
             raise ParameterError(f"delta must be in [0, 1], got {self.delta}")
-        check_eps_clip(self.eps_clip)
         return self
 
 
@@ -79,9 +69,9 @@ class AflDiagnostics:
         }
 
 
-def gamma_a(pred, gt, eps_clip: float = DEFAULT_EPS_CLIP) -> float:
+def gamma_a(pred, gt) -> float:
     """1 - mean(pt) over foreground pixels; 0 when the map has no foreground."""
-    return afl_loss(AflParams(agr_enabled=False, eps_clip=eps_clip))(pred, gt).diagnostics["gamma_a"]
+    return afl_loss(AflParams(agr_enabled=False))(pred, gt).diagnostics["gamma_a"]
 
 
 def mu(pt, gamma_d: float, delta: float) -> float:
@@ -108,32 +98,31 @@ def _mu_kernel(mod_sum, n: int, gamma_d, delta: float):
     return n / np.maximum(mod_sum * (1.0 + delta * gamma_d), MU_FLOOR_PER_PIXEL * n)
 
 
-def afl(pred, gt, params: AflParams = AflParams(),
-        reduction: str = "sum") -> tuple[LossOutput, AflDiagnostics]:
-    """Adaptive focal loss value, detached-coefficient gradient, diagnostics.
+def afl(pred, gt, params: AflParams = AflParams()) -> tuple[LossOutput, AflDiagnostics]:
+    """Adaptive focal loss value (summed over pixels), detached-coefficient
+    gradient, diagnostics.
 
     Reduction order matters: gamma_a and mu are full-map reductions computed
     before the per-pixel pass, then held constant.
     """
-    out = afl_loss(params, reduction)(pred, gt)
+    out = afl_loss(params)(pred, gt)
     return out, AflDiagnostics(**out.diagnostics)
 
 
-def afl_loss(params: AflParams = AflParams(), reduction: str = "sum") -> Loss:
+def afl_loss(params: AflParams = AflParams()) -> Loss:
     """The adaptive focal loss as a :class:`~clicklab.losses.Loss`, with its
     parameters checked once."""
     params.validate()
-    _check_reduction(reduction)
-    return Loss(partial(_afl_step, params=params, reduction=reduction))
+    return Loss(partial(_afl_step, params=params))
 
 
-def _afl_step(target, params: AflParams, reduction: str):
+def _afl_step(target, params: AflParams):
     def step(p):
-        pt, chain = target.pt_and_chain(p, params.eps_clip)
+        pt, chain = target.pt_and_chain(p)
         diag, omp, mod = _afl_map_coeffs(pt, target.fg_index, params)
         value_px, grad = _powlog_terms(pt, omp, mod, diag.gamma_d, params.alpha, diag.mu)
         grad *= chain
-        return *_reduce(value_px, grad, reduction), diag.as_dict()
+        return float(value_px.sum()), grad, diag.as_dict()
     return step
 
 

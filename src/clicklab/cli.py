@@ -75,7 +75,7 @@ def emit_report(args, results: dict, checks: list, report_path: str | None = Non
 
 def _loss_params_from_args(args) -> dict:
     params = {}
-    for key in ("gamma", "alpha", "delta", "beta", "smooth", "eps", "reduction"):
+    for key in ("gamma", "alpha", "delta", "beta", "smooth"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
@@ -190,7 +190,7 @@ def cmd_loss_curve(args) -> int:
 def cmd_pt_plot(args) -> int:
     pred = read_pm(args.pred)
     gt = read_pgm(args.gt)
-    pt = pt_map(pred, gt, args.eps)
+    pt = pt_map(pred, gt)
     write_pm(args.out, pt)
     results = {"out": args.out, "pt_min": float(pt.min()), "pt_max": float(pt.max())}
     return emit_report(args, results, [])
@@ -208,11 +208,13 @@ def _load_instances_dir(path: str):
         raise ParameterError(f"no pred_*.pm files in {path}")
     with open(classes_path) as fh:
         classes = json.load(fh)
+    if not isinstance(classes, dict):
+        raise ParameterError(f"{classes_path}: expected a JSON object")
     pred_classes = classes.get("pred_classes")
     gt_classes = classes.get("gt_classes")
-    if pred_classes is None or len(pred_classes) != len(pred_files):
+    if not isinstance(pred_classes, list) or len(pred_classes) != len(pred_files):
         raise ParameterError(f"{classes_path}: pred_classes must list one pair per pred_*.pm")
-    if gt_classes is None or len(gt_classes) != len(gt_files):
+    if not isinstance(gt_classes, list) or len(gt_classes) != len(gt_files):
         raise ParameterError(f"{classes_path}: gt_classes must list one pair per gt_*.pgm")
     preds = [matching.InstancePrediction(read_pm(f), np.asarray(c, dtype=np.float64))
              for f, c in zip(pred_files, pred_classes)]
@@ -221,18 +223,25 @@ def _load_instances_dir(path: str):
     return preds, gts
 
 
+_MATCH_WEIGHTS = [f.name for f in dataclasses.fields(matching.LossWeights)]
+
+
 def cmd_match(args) -> int:
-    weights = matching.LossWeights(args.lambda_mask, args.lambda_cli,
-                                   args.lambda_afl, args.lambda_dice, args.unclick_weight)
     if (args.costs is None) == (args.instances is None):
         raise ParameterError("pass exactly one of --costs or --instances")
+    given = {k: getattr(args, k) for k in _MATCH_WEIGHTS if getattr(args, k) is not None}
     if args.costs is not None:
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ParameterError(f"--costs takes no weight flags, got {flags}")
         with open(args.costs) as fh:
             payload = json.load(fh)
         cost = payload["cost"] if isinstance(payload, dict) else payload
         match = matching.hungarian(cost)
         results = {"match": dataclasses.asdict(match)}
     else:
+        weights = matching.LossWeights(**given)
+        vars(args).update(dataclasses.asdict(weights))  # the report echoes the weights used
         preds, gts = _load_instances_dir(args.instances)
         total, match, breakdown = matching.total_loss(preds, gts, weights)
         results = {"total_loss": total, "match": dataclasses.asdict(match),
@@ -448,8 +457,6 @@ def _add_loss_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--smooth", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--reduction", choices=("sum", "mean"), default=None)
     p.add_argument("--no-ada", action="store_true", help="disable the adaptive exponent")
     p.add_argument("--no-agr", action="store_true", help="disable the gradient rescale")
 
@@ -496,18 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pt-plot", help="emit the per-pixel confidence map as PM")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--eps", type=float, default=1e-7)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_pt_plot)
 
     p = sub.add_parser("match", help="optimal assignment from costs or instance files")
     p.add_argument("--costs", default=None, help="JSON cost matrix")
     p.add_argument("--instances", default=None, help="directory of pred_*.pm / gt_*.pgm / classes.json")
-    p.add_argument("--lambda-mask", type=_nonnegative_float, default=1.0, dest="lambda_mask")
-    p.add_argument("--lambda-cli", type=_nonnegative_float, default=2.0, dest="lambda_cli")
-    p.add_argument("--lambda-afl", type=_nonnegative_float, default=5.0, dest="lambda_afl")
-    p.add_argument("--lambda-dice", type=_nonnegative_float, default=5.0, dest="lambda_dice")
-    p.add_argument("--unclick-weight", type=_nonnegative_float, default=0.1, dest="unclick_weight")
+    for name in _MATCH_WEIGHTS:  # --instances only; the defaults are LossWeights'
+        p.add_argument("--" + name.replace("_", "-"), type=_nonnegative_float, dest=name)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_match)
 

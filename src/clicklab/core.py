@@ -95,32 +95,25 @@ def check_nonnegative(name: str, value: float) -> float:
     return value
 
 
-def check_eps_clip(eps_clip: float) -> float:
-    if not (0.0 < eps_clip <= 1e-3):
-        raise ParameterError(f"eps_clip must be in (0, 1e-3], got {eps_clip}")
-    return float(eps_clip)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def pt_map(pred, gt, eps_clip: float = DEFAULT_EPS_CLIP) -> np.ndarray:
+def pt_map(pred, gt) -> np.ndarray:
     """Per-pixel true-class confidence: p where gt=1, 1-p where gt=0.
 
-    The result is clamped from below at ``eps_clip`` so that log(pt) stays
-    finite.  Only the lower end is clamped; pt = 1 is benign everywhere.
+    The result is clamped from below at ``DEFAULT_EPS_CLIP`` so that log(pt)
+    stays finite.  Only the lower end is clamped; pt = 1 is benign everywhere.
     """
     p = as_prob_map(pred)
     y = as_binary_mask(gt)
     check_same_shape(p, y)
-    check_eps_clip(eps_clip)
-    return _pt_kernel(p, y, eps_clip)
+    return _pt_kernel(p, y)
 
 
-def _pt_kernel(p: np.ndarray, y: np.ndarray, eps_clip: float) -> np.ndarray:
+def _pt_kernel(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``pt_map`` of trusted arrays; ``p`` and ``y`` may broadcast."""
-    return np.maximum(np.where(y == 1, p, 1.0 - p), eps_clip)
+    return np.maximum(np.where(y == 1, p, 1.0 - p), DEFAULT_EPS_CLIP)
 
 
 def iou(pred_mask, gt) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .core import DEFAULT_EPS_CLIP, ParameterError, _pt_kernel, as_prob_stack, rng_stream
+from .core import ParameterError, _pt_kernel, as_prob_stack, rng_stream
 
 DEFAULT_H = 1e-6
 DEFAULT_RTOL = 1e-5
@@ -88,10 +88,10 @@ def _analytic_and_frozen(name: str, pred, gt, params):
             return losses._soft_iou_kernel(p, yf, grad=False)[0]
         if name in ("wbce", "balanced_ce"):
             w_pos, w_neg = losses._ce_weights(name, diag["beta"], target)
-            value_px, _ = losses._weighted_ce_kernel(p, yf, w_pos, w_neg, DEFAULT_EPS_CLIP, grad=False)
+            value_px, _ = losses._weighted_ce_kernel(p, yf, w_pos, w_neg, grad=False)
             return value_px.sum(axis=(-2, -1))
         value_px, _ = losses.powlog_kernel(
-            _pt_kernel(p, target.mask, DEFAULT_EPS_CLIP), diag.get("gamma_d", params.get("gamma", 0.0)),
+            _pt_kernel(p, target.mask), diag.get("gamma_d", params.get("gamma", 0.0)),
             params.get("alpha", 0.0), diag.get("mu", 1.0), grad=False)
         return diag.get("nfl_scale", 1.0) * value_px.sum(axis=(-2, -1))
 

@@ -1,9 +1,10 @@
 """Baseline segmentation losses with closed-form values and analytic gradients.
 
-Every loss returns a :class:`LossOutput` holding the scalar value (sum over
-pixels unless ``reduction="mean"``) and the exact per-pixel derivative with
-respect to the predicted probability.  bce, focal and poly all evaluate
-through one shared kernel, so the algebraic reductions
+Every loss returns a :class:`LossOutput` holding the scalar value (the sum
+over pixels) and the exact per-pixel derivative with respect to the
+predicted probability; pt is clamped from below at ``DEFAULT_EPS_CLIP``.
+bce, focal and poly all evaluate through one shared kernel, so the
+algebraic reductions
 
     focal(gamma=0) == bce        poly(alpha=0) == focal
 
@@ -33,7 +34,6 @@ from .core import (
     ParameterError,
     as_binary_mask,
     as_prob_map,
-    check_eps_clip,
     check_nonnegative,
     check_same_shape,
 )
@@ -60,22 +60,6 @@ def _check_gamma(gamma: float) -> float:
     if not (0.0 <= gamma <= 5.0):
         raise ParameterError(f"gamma must be in [0, 5], got {gamma}")
     return float(gamma)
-
-
-def _check_reduction(reduction: str) -> str:
-    if reduction not in ("sum", "mean"):
-        raise ParameterError(f"reduction must be 'sum' or 'mean', got {reduction!r}")
-    return reduction
-
-
-def _reduce(value_px: np.ndarray, grad_p: np.ndarray, reduction: str) -> tuple[float, np.ndarray]:
-    """Reduce the per-pixel values; a mean divides ``grad_p``, which the
-    caller owns, in place."""
-    if reduction == "mean":
-        n = value_px.size
-        grad_p /= n
-        return float(value_px.sum() / n), grad_p
-    return float(value_px.sum()), grad_p
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +91,13 @@ class Target:
     def yf(self) -> np.ndarray:
         return self.mask.astype(np.float64)
 
-    def pt_and_chain(self, p: np.ndarray, eps: float):
+    def pt_and_chain(self, p: np.ndarray):
         """Clamped pt of a trusted map ``p`` and the d(pt)/d(p) chain factor,
         0 inside the clamp."""
         pt = 1.0 - p
         np.copyto(pt, p, where=self.fg)
-        np.maximum(pt, eps, out=pt)
-        return pt, self.sign * (pt > eps)  # pt > eps exactly where unclamped
+        np.maximum(pt, DEFAULT_EPS_CLIP, out=pt)
+        return pt, self.sign * (pt > DEFAULT_EPS_CLIP)  # exactly where unclamped
 
 
 class Loss:
@@ -136,12 +120,11 @@ class Loss:
         return LossOutput(*self.bind(target)(p))
 
 
-def _powlog_step(target: Target, gamma, alpha: float, eps: float, reduction: str,
-                 normalized: bool = False):
+def _powlog_step(target: Target, gamma, alpha: float, normalized: bool = False):
     """bce, focal and poly; with ``normalized``, nfl's detached N / sum
     (1-pt)^gamma scale, and value 0, grad 0 on an all-perfect map."""
     def step(p):
-        pt, chain = target.pt_and_chain(p, eps)
+        pt, chain = target.pt_and_chain(p)
         omp = 1.0 - pt
         mod = omp ** gamma
         value_px, grad = _powlog_terms(pt, omp, mod, gamma, alpha, 1.0)
@@ -154,7 +137,7 @@ def _powlog_step(target: Target, gamma, alpha: float, eps: float, reduction: str
             value_px *= scale
             grad *= scale
         grad *= chain
-        return *_reduce(value_px, grad, reduction), diag
+        return float(value_px.sum()), grad, diag
     return step
 
 
@@ -166,12 +149,12 @@ def _ratio_step(target: Target, kernel):
     return step
 
 
-def _weighted_ce_step(target: Target, kind: str, beta, eps: float, reduction: str):
+def _weighted_ce_step(target: Target, kind: str, beta):
     w_pos, w_neg = _ce_weights(kind, beta, target)
 
     def step(p):
-        value_px, grad = _weighted_ce_kernel(p, target.yf, w_pos, w_neg, eps)
-        return *_reduce(value_px, grad, reduction), {"beta": w_pos}
+        value_px, grad = _weighted_ce_kernel(p, target.yf, w_pos, w_neg)
+        return float(value_px.sum()), grad, {"beta": w_pos}
     return step
 
 
@@ -261,32 +244,29 @@ def _power(base: np.ndarray, e):
 # individual losses: validate, bind, step
 # ---------------------------------------------------------------------------
 
-def bce(pred, gt, eps: float = DEFAULT_EPS_CLIP, reduction: str = "sum") -> LossOutput:
+def bce(pred, gt) -> LossOutput:
     """Cross entropy -sum log(pt); treats hard and easy pixels alike."""
-    return make_loss("bce", eps=eps, reduction=reduction)(pred, gt)
+    return make_loss("bce")(pred, gt)
 
 
-def focal(pred, gt, gamma: float, eps: float = DEFAULT_EPS_CLIP,
-          reduction: str = "sum") -> LossOutput:
+def focal(pred, gt, gamma: float) -> LossOutput:
     """-sum (1-pt)^gamma log(pt); gamma in [0, 5]."""
-    return make_loss("focal", gamma=gamma, eps=eps, reduction=reduction)(pred, gt)
+    return make_loss("focal", gamma=gamma)(pred, gt)
 
 
-def poly(pred, gt, gamma: float, alpha: float, eps: float = DEFAULT_EPS_CLIP,
-         reduction: str = "sum") -> LossOutput:
+def poly(pred, gt, gamma: float, alpha: float) -> LossOutput:
     """Focal plus the polynomial correction alpha*(1-pt)^(gamma+1); alpha
     finite and >= 0."""
-    return make_loss("poly", gamma=gamma, alpha=alpha, eps=eps, reduction=reduction)(pred, gt)
+    return make_loss("poly", gamma=gamma, alpha=alpha)(pred, gt)
 
 
-def nfl(pred, gt, gamma: float, eps: float = DEFAULT_EPS_CLIP,
-        reduction: str = "sum") -> LossOutput:
+def nfl(pred, gt, gamma: float) -> LossOutput:
     """Focal rescaled by N / sum (1-pt)^gamma.
 
     The normalizer is detached: the gradient is the focal gradient times the
     same scale.  An all-perfect map (normalizer 0) returns value 0, grad 0.
     """
-    return make_loss("nfl", gamma=gamma, eps=eps, reduction=reduction)(pred, gt)
+    return make_loss("nfl", gamma=gamma)(pred, gt)
 
 
 def dice(pred, gt, smooth: float = 1.0) -> LossOutput:
@@ -295,28 +275,29 @@ def dice(pred, gt, smooth: float = 1.0) -> LossOutput:
     return make_loss("dice", smooth=smooth)(pred, gt)
 
 
-def aux_loss(kind: str, pred, gt, beta: float | None = None,
-             eps: float = DEFAULT_EPS_CLIP, reduction: str = "sum") -> LossOutput:
+def aux_loss(kind: str, pred, gt, beta: float | None = None) -> LossOutput:
     """Comparison losses: 'wbce', 'balanced_ce', or 'soft_iou'.
 
     wbce weights the positive term by a finite beta > 0 (default:
     negatives/positives of the ground truth, which errors out on an
     all-background map).  balanced_ce splits the two terms as beta vs 1-beta
-    with beta in (0, 1).  soft_iou ignores beta and uses the probabilistic
+    with beta in (0, 1).  soft_iou takes no beta and uses the probabilistic
     intersection/union.
     """
     if kind not in ("wbce", "balanced_ce", "soft_iou"):
         raise ParameterError(f"unknown aux loss kind {kind!r}")
-    return make_loss(kind, beta=beta, eps=eps, reduction=reduction)(pred, gt)
+    return make_loss(kind, **({} if beta is None else {"beta": beta}))(pred, gt)
 
 
 # ---------------------------------------------------------------------------
 # trusted kernels: any leading axes broadcast, maps are the last two axes
 # ---------------------------------------------------------------------------
 
-def _weighted_ce_kernel(p, yf, w_pos: float, w_neg: float, eps: float, grad: bool = True):
+def _weighted_ce_kernel(p, yf, w_pos: float, w_neg: float, grad: bool = True):
     """Per-pixel -(w_pos*y*log(p) + w_neg*(1-y)*log(1-p)) and d/dp.  p is
-    clipped on both ends; pixels inside a clip are flat (zero gradient)."""
+    clipped to [eps, 1 - eps], eps = ``DEFAULT_EPS_CLIP``; pixels inside a
+    clip are flat (zero gradient)."""
+    eps = DEFAULT_EPS_CLIP
     pc = np.clip(p, eps, 1.0 - eps)
     value_px = -(w_pos * yf * np.log(pc) + w_neg * (1.0 - yf) * np.log(1.0 - pc))
     if not grad:
@@ -356,41 +337,36 @@ def _one_minus_ratio(num, den, dnum, dden, grad: bool):
 # registry
 # ---------------------------------------------------------------------------
 
-# the keyword arguments make_loss accepts per loss, besides eps and reduction
+# the keyword arguments make_loss accepts per loss, with their defaults
 _LOSS_PARAMS = {
     "bce": {}, "focal": {"gamma": 2.0}, "poly": {"gamma": 2.0, "alpha": 1.0},
     "nfl": {"gamma": 2.0}, "dice": {"smooth": 1.0},
-    "wbce": {"beta": None}, "balanced_ce": {"beta": None}, "soft_iou": {"beta": None},
+    "wbce": {"beta": None}, "balanced_ce": {"beta": None}, "soft_iou": {},
     "afl": {"gamma": 2.0, "alpha": 1.0, "delta": 0.4, "ada_enabled": True, "agr_enabled": True},
 }
 
 
 def make_loss(name: str, **params) -> Loss:
     """Build the :class:`Loss` named by one of BASELINE_KINDS or 'afl',
-    checking its parameters.  Unknown keyword arguments are rejected per
-    loss; dice takes neither eps nor reduction and ignores them."""
+    checking its parameters.  Keyword arguments the loss does not take are
+    rejected."""
     name = name.lower()
     if name not in _LOSS_PARAMS:
         raise ParameterError(f"unknown loss {name!r}")
-    eps = params.pop("eps", DEFAULT_EPS_CLIP)
-    reduction = params.pop("reduction", "sum")
     kw = {key: params.pop(key, default) for key, default in _LOSS_PARAMS[name].items()}
     if params:
         raise ParameterError(f"loss {name!r} does not accept parameters {sorted(params)}")
     if name == "afl":
         from . import adaptive  # deferred: adaptive builds on this module
 
-        return adaptive.afl_loss(adaptive.AflParams(**kw, eps_clip=eps), reduction)
+        return adaptive.afl_loss(adaptive.AflParams(**kw))
     if name == "dice":
         smooth = check_nonnegative("smooth", kw["smooth"])
         return Loss(partial(_ratio_step, kernel=partial(_dice_kernel, smooth=smooth)))
-    _check_reduction(reduction)
-    check_eps_clip(eps)
     if name == "soft_iou":
         return Loss(partial(_ratio_step, kernel=_soft_iou_kernel))
     if name in ("wbce", "balanced_ce"):
-        return Loss(partial(_weighted_ce_step, kind=name, beta=kw["beta"], eps=eps, reduction=reduction))
+        return Loss(partial(_weighted_ce_step, kind=name, beta=kw["beta"]))
     gamma = _check_gamma(kw.get("gamma", 0.0))
     alpha = float(check_nonnegative("alpha", kw.get("alpha", 0.0)))
-    return Loss(partial(_powlog_step, gamma=gamma, alpha=alpha, eps=eps, reduction=reduction,
-                        normalized=name == "nfl"))
+    return Loss(partial(_powlog_step, gamma=gamma, alpha=alpha, normalized=name == "nfl"))

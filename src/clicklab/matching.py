@@ -45,7 +45,7 @@ class InstancePrediction:
         c = np.asarray(self.click_class_probs, dtype=np.float64)
         if c.shape != (2,):
             raise DimensionError(f"click_class_probs must have shape (2,), got {c.shape}")
-        if c.min() < 0.0 or abs(float(c.sum()) - 1.0) > 1e-9:
+        if not (c.min() >= 0.0 and abs(float(c.sum()) - 1.0) <= 1e-9):  # NaN fails both
             raise ParameterError(f"click_class_probs must be a probability pair, got {c}")
         self.click_class_probs = c
 
@@ -135,7 +135,7 @@ def _cost_matrix(preds: list, gts: list, weights: LossWeights,
     cost = np.empty(cls_term.shape, dtype=np.float64)
     for start in range(0, len(preds), rows):
         block = slice(start, start + rows)
-        pt = _pt_kernel(p[block], y, afl_params.eps_clip)
+        pt = _pt_kernel(p[block], y)
         coeffs, omp, mod = adaptive._afl_coeffs(pt, fg, afl_params)
         afl_px, _ = losses._powlog_terms(pt, omp, mod, coeffs.gamma_d[..., None, None],
                                          afl_params.alpha, coeffs.mu[..., None, None], grad=False)

@@ -182,8 +182,7 @@ def _min_boundary_radius(mask: np.ndarray, cy: float, cx: float) -> float:
     return float(np.hypot(ys - cy, xs - cx).min())
 
 
-def difficulty_profile(sample: SynthSample, pred, bins: int = 20,
-                       eps_clip: float = 1e-7) -> dict:
+def difficulty_profile(sample: SynthSample, pred, bins: int = 20) -> dict:
     """Histogram of pt over the image, split foreground vs background.
 
     Foreground is the union of all instance masks.  Bin counts sum to the
@@ -194,7 +193,7 @@ def difficulty_profile(sample: SynthSample, pred, bins: int = 20,
     for m in sample.gt_instances:
         union |= m
     check_same_shape(p, union)
-    pt = pt_map(p, union, eps_clip)
+    pt = pt_map(p, union)
     edges = np.linspace(0.0, 1.0, bins + 1)
     fg = union == 1
     fg_counts, _ = np.histogram(pt[fg], bins=edges)

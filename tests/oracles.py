@@ -264,7 +264,7 @@ def _reference_pair_cost(pred, gt, weights, afl_params):
     afl_params.validate()
     p = pred.mask_probs
     y = as_binary_mask(gt.mask)
-    pt = pt_map(p, y, afl_params.eps_clip)
+    pt = pt_map(p, y)
     fg = y == 1
     hard_count = int(fg.sum())
     fg_pt_mean = float(pt[fg].mean()) if hard_count else 1.0

@@ -195,7 +195,7 @@ def test_single_map_coefficients_equal_batched_ones_bit_for_bit():
         params = adaptive.AflParams(gamma=gamma, delta=float(rng.uniform(0.0, 1.0)),
                                     ada_enabled=case % 4 != 0, agr_enabled=case % 5 != 0)
         target = losses.Target(gt)
-        pt, _ = target.pt_and_chain(pred, params.eps_clip)
+        pt, _ = target.pt_and_chain(pred)
         diag, omp, mod = adaptive._afl_map_coeffs(pt, target.fg_index, params)
         coeffs, omp_b, mod_b = adaptive._afl_coeffs(pt[None, None], target.fg[None], params)
         assert repr(diag.as_dict()) == repr({k: v.item() for k, v in vars(coeffs).items()})

@@ -167,6 +167,11 @@ MALFORMED_FILES = {
     # an instances directory of one prediction and no ground truth
     "pred_00.pm": "PM 1 2\n0.5 0.5\n",
     "classes.json": json.dumps({"pred_classes": [[0.5, 0.5]], "gt_classes": []}),
+    # instances directories whose classes.json has the wrong JSON types
+    "classes_list/pred_00.pm": "PM 1 2\n0.5 0.5\n",
+    "classes_list/classes.json": json.dumps([1, 2]),
+    "classes_int/pred_00.pm": "PM 1 2\n0.5 0.5\n",
+    "classes_int/classes.json": json.dumps({"pred_classes": 5, "gt_classes": []}),
 }
 NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out {tmp}/t.json "
 LOSS_EVAL = "loss eval --pred {tmp}/ok.pm --gt {tmp}/ok.pgm "
@@ -224,6 +229,15 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
     "match --instances {tmp} --unclick-weight nan",
     "match --instances {tmp} --lambda-cli inf",
     "match --costs {tmp}/costs.json --lambda-mask nan",
+    "match --instances {tmp}/classes_list",
+    "match --instances {tmp}/classes_int",
+    "match --costs {tmp}/costs.json --lambda-cli 5 --lambda-mask 0",
+    "match --costs {tmp}/costs.json --unclick-weight 0.1",
+    LOSS_EVAL + "--loss focal --reduction mean",
+    LOSS_EVAL + "--loss bce --eps 1e-4",
+    TRAIN_DEMO + "--reduction sum",
+    "pt-plot --pred {tmp}/ok.pm --gt {tmp}/ok.pgm --out {tmp}/pt.pm --eps 1e-7",
+    LOSS_EVAL + "--loss soft_iou --beta 0.3",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
@@ -236,9 +250,13 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
         "synth_zero_count", "synth_negative_count", "poly_alpha_nan", "poly_alpha_inf",
         "afl_alpha_nan", "afl_alpha_inf", "wbce_beta_nan", "wbce_beta_inf", "dice_smooth_nan",
         "dice_smooth_inf", "train_alpha_nan", "train_lr_nan", "train_lr_inf",
-        "match_unclick_weight_nan", "match_lambda_cli_inf", "match_costs_lambda_mask_nan"])
+        "match_unclick_weight_nan", "match_lambda_cli_inf", "match_costs_lambda_mask_nan",
+        "match_classes_not_object", "match_pred_classes_not_list", "match_costs_weight_flags",
+        "match_costs_default_weight_flag", "loss_eval_reduction_removed", "loss_eval_eps_removed",
+        "train_reduction_removed", "pt_plot_eps_removed", "soft_iou_beta"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(text)
     try:
         code = main(argv.format(tmp=tmp_path).split())
@@ -301,6 +319,18 @@ def test_match_instances_without_gts_charges_unclick(capsys, tmp_path):
     assert code == 0
     assert report["results"]["total_loss"] == pytest.approx(0.1 * 2.0 * np.log(2.0))
     assert report["results"]["match"]["unmatched_predictions"] == [0]
+
+
+def test_match_instances_weight_flags_apply_and_are_echoed(capsys, tmp_path):
+    write_pm(str(tmp_path / "pred_00.pm"), np.full((2, 2), 0.5))
+    (tmp_path / "classes.json").write_text(json.dumps({"pred_classes": [[0.5, 0.5]], "gt_classes": []}))
+    code, report = run_cli(capsys, "match", "--instances", str(tmp_path), "--unclick-weight", "0.3")
+    assert code == 0
+    assert report["results"]["total_loss"] == pytest.approx(0.3 * 2.0 * np.log(2.0))
+    weights = {k: report["config"][k] for k in ("lambda_mask", "lambda_cli", "lambda_afl",
+                                                "lambda_dice", "unclick_weight")}
+    assert weights == {"lambda_mask": 1.0, "lambda_cli": 2.0, "lambda_afl": 5.0,
+                       "lambda_dice": 5.0, "unclick_weight": 0.3}
 
 
 def test_attention_demo_checks_pass(capsys):

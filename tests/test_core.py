@@ -22,7 +22,7 @@ def test_pt_map_case_split():
 
 
 def test_pt_map_clamp_floor():
-    got = pt_map(np.array([[0.0]]), np.array([[1]]), eps_clip=1e-7)
+    got = pt_map(np.array([[0.0]]), np.array([[1]]))
     assert got[0, 0] == 1e-7
 
 
@@ -37,8 +37,6 @@ def test_pt_map_relabeling_symmetry():
 def test_pt_map_errors():
     with pytest.raises(DimensionError):
         pt_map(np.full((2, 2), 0.5), np.zeros((3, 2), dtype=int))
-    with pytest.raises(ParameterError):
-        pt_map(np.full((2, 2), 0.5), np.zeros((2, 2), dtype=int), eps_clip=0.5)
 
 
 @pytest.mark.parametrize("values", [

@@ -1,8 +1,13 @@
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import clicklab
 from clicklab import losses
 from clicklab.core import DEFAULT_EPS_CLIP, ParameterError, _pt_kernel, as_prob_stack, rng_stream
 from oracles import bits, central_diff, reference_powlog_terms
@@ -261,8 +266,8 @@ def test_leading_axis_kernels_equal_2d_losses_per_map():
         smooth = float(rng.choice([0.0, 1.0, 1.7]))
         for stack in _kernel_stacks(rng, k, h, w):
             maps = [np.ascontiguousarray(m) for m in stack]
-            value_px, _ = losses.powlog_kernel(_pt_kernel(stack, gt, DEFAULT_EPS_CLIP), g, alpha, 1.0, grad=False)
-            ce_px, ce_grad = losses._weighted_ce_kernel(stack, yf, beta, 1.0 - beta, DEFAULT_EPS_CLIP)
+            value_px, _ = losses.powlog_kernel(_pt_kernel(stack, gt), g, alpha, 1.0, grad=False)
+            ce_px, ce_grad = losses._weighted_ce_kernel(stack, yf, beta, 1.0 - beta)
             batched = {
                 "poly": (value_px.sum(axis=(-2, -1)), None),
                 "balanced_ce": (ce_px.sum(axis=(-2, -1)), ce_grad),
@@ -362,15 +367,6 @@ def test_losses_of_a_column_gathered_map_equal_its_contiguous_copy():
             assert repr(got.diagnostics) == repr(want.diagnostics)
 
 
-def test_mean_reduction_scales_by_pixel_count():
-    rng = rng_stream(16, "test/mean")
-    pred, gt = random_pair(rng)
-    s = losses.focal(pred, gt, 2.0, reduction="sum")
-    m = losses.focal(pred, gt, 2.0, reduction="mean")
-    assert m.value == pytest.approx(s.value / pred.size, rel=1e-12)
-    np.testing.assert_allclose(m.grad_wrt_prob, s.grad_wrt_prob / pred.size, rtol=1e-12)
-
-
 def test_taylor_identity_fifty_terms():
     # sum_{k=1..50} (1-pt)^k / k reproduces -log(pt) on [0.6, 0.99]
     from clicklab.adaptive import neg_log_series
@@ -384,3 +380,59 @@ def test_make_loss_rejects_unknown_and_extras():
         losses.make_loss("nope")
     with pytest.raises(ParameterError):
         losses.make_loss("bce", gamma=2.0)
+
+
+@pytest.mark.parametrize("extra", [{"eps": 1e-4}, {"reduction": "sum"}, {"eps_clip": 1e-7}],
+                         ids=["eps", "reduction", "eps_clip"])
+@pytest.mark.parametrize("name", list(losses._LOSS_PARAMS))
+def test_make_loss_rejects_clamp_and_reduction(name, extra):
+    # the pt clamp and the sum reduction are constants, for dice as for the rest
+    with pytest.raises(ParameterError, match="does not accept"):
+        losses.make_loss(name, **extra)
+
+
+def test_no_function_or_field_takes_clamp_or_reduction():
+    removed = {"eps", "eps_clip", "reduction"}
+    for info in pkgutil.iter_modules(clicklab.__path__):
+        module = importlib.import_module(f"clicklab.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    assert not removed & {f.name for f in dataclasses.fields(obj)}, name
+                functions = [m for m in vars(obj).values() if inspect.isfunction(m)]
+            else:
+                functions = [obj] if inspect.isfunction(obj) else []
+            for fn in functions:
+                assert not removed & set(inspect.signature(fn).parameters), fn.__qualname__
+
+
+def test_soft_iou_takes_no_beta():
+    pred, gt = random_pair(rng_stream(17, "test/soft_iou_beta"))
+    with pytest.raises(ParameterError, match="does not accept"):
+        losses.make_loss("soft_iou", beta=0.3)
+    with pytest.raises(ParameterError, match="does not accept"):
+        losses.aux_loss("soft_iou", pred, gt, beta=0.3)
+    assert losses.aux_loss("soft_iou", pred, gt).value == losses.make_loss("soft_iou")(pred, gt).value
+
+
+# two different valid values of every parameter make_loss accepts
+PARAM_VALUES = {
+    ("focal", "gamma"): (1.0, 3.0),
+    ("poly", "gamma"): (1.0, 3.0), ("poly", "alpha"): (0.0, 2.0),
+    ("nfl", "gamma"): (1.0, 3.0),
+    ("dice", "smooth"): (0.0, 2.0),
+    ("wbce", "beta"): (None, 3.0),
+    ("balanced_ce", "beta"): (0.3, 0.7),
+    ("afl", "gamma"): (1.0, 3.0), ("afl", "alpha"): (0.0, 2.0), ("afl", "delta"): (0.0, 1.0),
+    ("afl", "ada_enabled"): (True, False), ("afl", "agr_enabled"): (True, False),
+}
+
+
+@pytest.mark.parametrize("name,key", [(n, k) for n, ps in losses._LOSS_PARAMS.items() for k in ps])
+def test_every_accepted_parameter_changes_the_loss(name, key):
+    # a parameter a loss accepts but ignores would leave both outputs equal
+    pred, gt = random_pair(rng_stream(18, "test/param_effect"))
+    a, b = (losses.make_loss(name, **{key: v})(pred, gt) for v in PARAM_VALUES[name, key])
+    assert a.value != b.value or bits(a.grad_wrt_prob) != bits(b.grad_wrt_prob)

@@ -328,6 +328,13 @@ def test_instance_validation():
         matching.GroundTruthInstance(square_mask(), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0]], ids=["nan_nan", "nan_one"])
+def test_instance_rejects_nan_class_probs(probs):
+    # NaN fails every comparison, so a check that rejects "min < 0" lets it through
+    with pytest.raises(ParameterError, match="probability pair"):
+        matching.InstancePrediction(np.full((2, 2), 0.5), np.array(probs))
+
+
 @pytest.mark.parametrize("cost", [
     [[1e308, 1e308], [1e308, 1e308]],
     [[1e308] * 3] * 2,
@@ -377,7 +384,7 @@ def _random_params(rng, case):
         afl_params = adaptive.AflParams(
             gamma=float(rng.uniform(0.0, 5.0)), alpha=float(rng.uniform(0.0, 2.0)),
             delta=float(rng.random()), ada_enabled=bool(rng.random() < 0.5),
-            agr_enabled=bool(rng.random() < 0.5), eps_clip=float(rng.choice([1e-7, 1e-3])))
+            agr_enabled=bool(rng.random() < 0.5))
     return weights, afl_params
 
 

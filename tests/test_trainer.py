@@ -126,7 +126,7 @@ def test_model_json_roundtrip():
 
 SWEPT_LOSSES = [
     ("bce", {}), ("wbce", {}), ("balanced_ce", {"beta": 0.3}), ("soft_iou", {}),
-    ("focal", {"gamma": 2.0}), ("nfl", {"gamma": 1.5, "reduction": "mean"}),
+    ("focal", {"gamma": 2.0}), ("nfl", {"gamma": 1.5}),
     ("poly", {"gamma": 0.5, "alpha": 2.0}), ("dice", {}), ("afl", {}),
 ]
 
