@@ -12,7 +12,10 @@ Two map-level coefficients extend the focal/poly family:
 Final per-pixel form:  -mu*(1-pt)^gamma_d*log(pt) + alpha*(1-pt)^(gamma_d+1).
 
 Both coefficients are computed from the clamped pt map and detached: the
-analytic gradient differentiates through pt only.  With ADA and AGR disabled
+analytic gradient differentiates through pt only.  One routine,
+``_afl_coeffs``, computes them for a stack of maps; the bound training step
+passes its one map as a (1, 1, h, w) stack, and the matching cost a block of
+prediction rows against every ground truth.  With ADA and AGR disabled
 (gamma_a := 0, mu := 1) the loss collapses to poly, then focal (alpha=0),
 then bce (gamma=0) -- bit-exactly, since all share one kernel.
 
@@ -28,8 +31,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import DimensionError, DomainError, ParameterError, check_nonnegative, pt_map
-from .losses import Loss, LossOutput, _power, _powlog_terms, powlog_kernel
+from .core import DimensionError, DomainError, ParameterError, check_nonnegative
+from .losses import Loss, LossOutput, _check_gamma, _power, _powlog_terms
 
 MU_FLOOR_PER_PIXEL = 1e-12  # caps mu at 1e12 when the map is near perfect
 
@@ -43,12 +46,20 @@ class AflParams:
     agr_enabled: bool = True
 
     def validate(self) -> "AflParams":
-        if not (0.0 <= self.gamma <= 5.0):
-            raise ParameterError(f"gamma must be in [0, 5], got {self.gamma}")
+        _check_gamma(self.gamma)
         check_nonnegative("alpha", self.alpha)
-        if not (0.0 <= self.delta <= 1.0):
-            raise ParameterError(f"delta must be in [0, 1], got {self.delta}")
+        _check_delta(self.delta)
         return self
+
+
+def _check_gamma_d(gamma_d: float) -> None:
+    if gamma_d < 0.0:
+        raise ParameterError(f"gamma_d must be >= 0, got {gamma_d}")
+
+
+def _check_delta(delta: float) -> None:
+    if not (0.0 <= delta <= 1.0):
+        raise ParameterError(f"delta must be in [0, 1], got {delta}")
 
 
 @dataclass
@@ -58,15 +69,6 @@ class AflDiagnostics:
     mu: float
     hard_count: int
     foreground_pt_mean: float
-
-    def as_dict(self) -> dict:
-        return {
-            "gamma_a": self.gamma_a,
-            "gamma_d": self.gamma_d,
-            "mu": self.mu,
-            "hard_count": self.hard_count,
-            "foreground_pt_mean": self.foreground_pt_mean,
-        }
 
 
 def gamma_a(pred, gt) -> float:
@@ -83,10 +85,8 @@ def mu(pt, gamma_d: float, delta: float) -> float:
     arr = np.asarray(pt, dtype=np.float64)
     if arr.size == 0:
         raise DimensionError("mu needs at least one pixel")
-    if gamma_d < 0.0:
-        raise ParameterError(f"gamma_d must be >= 0, got {gamma_d}")
-    if not (0.0 <= delta <= 1.0):
-        raise ParameterError(f"delta must be in [0, 1], got {delta}")
+    _check_gamma_d(gamma_d)
+    _check_delta(delta)
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ParameterError("pt values must lie in [0, 1]")
     return float(_mu_kernel(((1.0 - arr) ** gamma_d).ravel().sum(), arr.size, gamma_d, delta))
@@ -117,52 +117,41 @@ def afl_loss(params: AflParams = AflParams()) -> Loss:
 
 
 def _afl_step(target, params: AflParams):
+    fg_index = [target.fg_index]
+
     def step(p):
         pt, chain = target.pt_and_chain(p)
-        diag, omp, mod = _afl_map_coeffs(pt, target.fg_index, params)
-        value_px, grad = _powlog_terms(pt, omp, mod, diag.gamma_d, params.alpha, diag.mu)
+        coeffs, omp, mod = _afl_coeffs(pt[None, None], fg_index, params)
+        diag = {k: v.item() for k, v in vars(coeffs).items()}
+        value_px, grad = _powlog_terms(pt, omp[0, 0], mod[0, 0], diag["gamma_d"], params.alpha,
+                                       diag["mu"])
         grad *= chain
-        return float(value_px.sum()), grad, diag.as_dict()
+        return float(value_px.sum()), grad, diag
     return step
 
 
-def _afl_map_coeffs(pt: np.ndarray, fg_index: np.ndarray, params: AflParams):
-    """``_afl_coeffs`` of one trusted map, in floats rather than (1, 1)
-    arrays, and equal to it bit for bit: ``pt[fg]`` is summed in the same
-    order, and the float exponent takes the numpy fast paths that ``_power``
-    reproduces for exponent arrays."""
-    count = fg_index.size
-    fg_pt_mean = float(pt.take(fg_index).sum()) / count if count else 1.0
-    g_a = 1.0 - fg_pt_mean if params.ada_enabled else 0.0
-    g_d = params.gamma + g_a
-    omp = 1.0 - pt
-    mod = omp ** g_d
-    mu_val = float(_mu_kernel(mod.sum(), pt.size, g_d, params.delta)) if params.agr_enabled else 1.0
-    return AflDiagnostics(g_a, g_d, mu_val, count, fg_pt_mean), omp, mod
-
-
-def _afl_coeffs(pt: np.ndarray, fg: np.ndarray, params: AflParams):
+def _afl_coeffs(pt: np.ndarray, fg_index: list, params: AflParams):
     """Per-map coefficients of trusted pt maps, with ``1 - pt`` and the
     modulator ``(1-pt)**gamma_d`` that mu and the loss share.
 
-    ``pt`` is a (K, M, h, w) stack whose column j is paired with the boolean
-    foreground ``fg[j]`` of an (M, h, w) stack.  Returns ``(diagnostics,
-    omp, mod)``; the diagnostics' fields are (K, M) arrays, except the (M,)
-    ``hard_count``.
+    ``pt`` is a (K, M, h, w) stack whose column j is paired with the flat
+    row-major foreground indices ``fg_index[j]`` of its ground truth; one
+    map is the (1, 1, h, w) case.  Returns ``(diagnostics, omp,
+    mod)``; the diagnostics' fields are (K, M) arrays, except the (M,)
+    ``hard_count``.  Each map's coefficients equal those of ``pt[fg].mean()``
+    and of Python-float exponents bit for bit: the foreground is summed in
+    row-major order, and ``losses._power`` recomputes the maps whose exponent
+    numpy special-cases.
     """
     k, m = pt.shape[:2]
-    hard_count = fg.sum(axis=(1, 2))
-    fg_pt_mean = np.empty((k, m))
-    for j, count in enumerate(hard_count.tolist()):
-        if count:
-            # the gather comes back non-C-ordered; each row must be summed in
-            # the order of a single map's pt[fg].mean()
-            fg_pt = np.ascontiguousarray(pt[:, j][:, fg[j]])
-            np.divide(fg_pt.sum(axis=1), count, out=fg_pt_mean[:, j])
-        else:
-            fg_pt_mean[:, j] = 1.0
+    flat = pt.reshape(k, m, -1)
+    hard_count = np.array([ix.size for ix in fg_index])
+    fg_pt_mean = np.ones((k, m))  # 1 without foreground, so gamma_a is 0
+    for j, ix in enumerate(fg_index):
+        if ix.size:
+            np.divide(flat[:, j].take(ix, axis=1).sum(axis=1), ix.size, out=fg_pt_mean[:, j])
 
-    g_a = 1.0 - fg_pt_mean if params.ada_enabled else np.zeros((k, m))  # 0 without foreground
+    g_a = 1.0 - fg_pt_mean if params.ada_enabled else np.zeros((k, m))
     g_d = params.gamma + g_a
     omp = 1.0 - pt
     mod = _power(omp, g_d[..., None, None])
@@ -171,34 +160,25 @@ def _afl_coeffs(pt: np.ndarray, fg: np.ndarray, params: AflParams):
     return AflDiagnostics(g_a, g_d, mu_val, hard_count, fg_pt_mean), omp, mod
 
 
-def afl_value_with_coeffs(pred, gt, gamma_d: float, mu_val: float, alpha: float) -> float:
-    """Summed loss value with gamma_d and mu frozen at the given numbers.
-
-    This is the function whose finite differences the detached analytic
-    gradient must reproduce.
-    """
-    value_px, _ = powlog_kernel(pt_map(pred, gt), gamma_d, alpha, mu_val, grad=False)
-    return float(value_px.sum())
-
-
 # ---------------------------------------------------------------------------
 # truncated-series verification tools (domain pt > 0.5)
 # ---------------------------------------------------------------------------
 
-def _series_domain(pt) -> np.ndarray:
+def _series_domain(pt, terms: int = 1) -> np.ndarray:
+    """pt as a float64 array in (0.5, 1], for an expansion of ``terms`` >= 1."""
     arr = np.asarray(pt, dtype=np.float64)
     if arr.size == 0:
         raise DimensionError("series operations need at least one pixel")
     if arr.min() <= 0.5 or arr.max() > 1.0:
         raise DomainError("series expansions require pt in (0.5, 1]")
+    if terms < 1:
+        raise ParameterError("terms must be >= 1")
     return arr
 
 
 def neg_log_series(pt, terms: int) -> np.ndarray:
     """Truncated expansion of -log(pt): sum_{k=1..terms} (1-pt)^k / k."""
-    arr = _series_domain(pt)
-    if terms < 1:
-        raise ParameterError("terms must be >= 1")
+    arr = _series_domain(pt, terms)
     omp = 1.0 - arr
     total = np.zeros_like(arr)
     for k in range(1, terms + 1):
@@ -212,9 +192,7 @@ def bce_grad_series(pt, terms: int) -> np.ndarray:
     The leading term is 1 for every pixel regardless of difficulty, which is
     the equal-treatment signature of plain cross entropy.
     """
-    arr = _series_domain(pt)
-    if terms < 1:
-        raise ParameterError("terms must be >= 1")
+    arr = _series_domain(pt, terms)
     omp = 1.0 - arr
     total = np.zeros_like(arr)
     for k in range(terms):
@@ -232,11 +210,8 @@ def afl_grad_series(pt, gamma_d: float, alpha: float, terms: int) -> np.ndarray:
     unlike the constant first term of ``bce_grad_series``.  With gamma_d=0
     and alpha=0 the bracket is the geometric series for 1/pt.
     """
-    arr = _series_domain(pt)
-    if terms < 1:
-        raise ParameterError("terms must be >= 1")
-    if gamma_d < 0.0:
-        raise ParameterError(f"gamma_d must be >= 0, got {gamma_d}")
+    arr = _series_domain(pt, terms)
+    _check_gamma_d(gamma_d)
     omp = 1.0 - arr
     bracket = np.full_like(arr, (1.0 + alpha) * (1.0 + gamma_d))
     for k in range(2, terms + 1):
@@ -258,10 +233,8 @@ def gradient_decomposition(pt, gamma_d: float, alpha: float, delta: float,
     arr = _series_domain(pt)
     if terms < 2:
         raise ParameterError("decomposition needs terms >= 2")
-    if gamma_d < 0.0:
-        raise ParameterError(f"gamma_d must be >= 0, got {gamma_d}")
-    if not (0.0 <= delta <= 1.0):
-        raise ParameterError(f"delta must be in [0, 1], got {delta}")
+    _check_gamma_d(gamma_d)
+    _check_delta(delta)
     omp = 1.0 - arr
     nu = bce_grad_series(arr, terms)
     nabla_b = np.full_like(arr, gamma_d * (1.0 + alpha) + alpha)
@@ -281,8 +254,7 @@ def chebyshev_identity_check(pt, gamma_d: float) -> float:
     arr = np.asarray(pt, dtype=np.float64)
     if arr.size == 0:
         raise DimensionError("residual needs at least one pixel")
-    if gamma_d < 0.0:
-        raise ParameterError(f"gamma_d must be >= 0, got {gamma_d}")
+    _check_gamma_d(gamma_d)
     if arr.min() <= 0.0 or arr.max() > 1.0:
         raise ParameterError("pt values must lie in (0, 1]")
     a = ((1.0 - arr) ** gamma_d).ravel()

@@ -210,16 +210,20 @@ def _load_instances_dir(path: str):
         classes = json.load(fh)
     if not isinstance(classes, dict):
         raise ParameterError(f"{classes_path}: expected a JSON object")
-    pred_classes = classes.get("pred_classes")
-    gt_classes = classes.get("gt_classes")
-    if not isinstance(pred_classes, list) or len(pred_classes) != len(pred_files):
-        raise ParameterError(f"{classes_path}: pred_classes must list one pair per pred_*.pm")
-    if not isinstance(gt_classes, list) or len(gt_classes) != len(gt_files):
-        raise ParameterError(f"{classes_path}: gt_classes must list one pair per gt_*.pgm")
-    preds = [matching.InstancePrediction(read_pm(f), np.asarray(c, dtype=np.float64))
-             for f, c in zip(pred_files, pred_classes)]
-    gts = [matching.GroundTruthInstance(read_pgm(f), np.asarray(c, dtype=np.float64))
-           for f, c in zip(gt_files, gt_classes)]
+
+    def class_pairs(key: str, files: list, pattern: str) -> list:
+        entries = classes.get(key)
+        if not isinstance(entries, list) or len(entries) != len(files):
+            raise ParameterError(f"{classes_path}: {key} must list one pair per {pattern}")
+        try:
+            return [np.asarray(c, dtype=np.float64) for c in entries]
+        except (TypeError, ValueError):
+            raise ParameterError(f"{classes_path}: {key} entries must be pairs of numbers") from None
+
+    pred_classes = class_pairs("pred_classes", pred_files, "pred_*.pm")
+    gt_classes = class_pairs("gt_classes", gt_files, "gt_*.pgm")
+    preds = [matching.InstancePrediction(read_pm(f), c) for f, c in zip(pred_files, pred_classes)]
+    gts = [matching.GroundTruthInstance(read_pgm(f), c) for f, c in zip(gt_files, gt_classes)]
     return preds, gts
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     DEFAULT_EPS_CLIP,
     ParameterError,
+    _pt_kernel,
     as_binary_mask,
     as_prob_map,
     check_nonnegative,
@@ -94,9 +95,7 @@ class Target:
     def pt_and_chain(self, p: np.ndarray):
         """Clamped pt of a trusted map ``p`` and the d(pt)/d(p) chain factor,
         0 inside the clamp."""
-        pt = 1.0 - p
-        np.copyto(pt, p, where=self.fg)
-        np.maximum(pt, DEFAULT_EPS_CLIP, out=pt)
+        pt = _pt_kernel(p, self.mask)
         return pt, self.sign * (pt > DEFAULT_EPS_CLIP)  # exactly where unclamped
 
 

@@ -110,7 +110,10 @@ def _cost_matrix(preds: list, gts: list, weights: LossWeights,
     the parameters, so only shapes are checked here.
 
     pt, the AFL coefficients, the AFL values and dice are computed over a
-    (k, M, h, w) block of k prediction rows at a time.  k is the largest
+    (k, M, h, w) block of k prediction rows at a time.  The coefficients come
+    from ``adaptive._afl_coeffs``, the routine the bound AFL training step
+    calls on one map, given each ground truth's flat foreground indices,
+    which are found once per call.  k is the largest
     count whose block holds at most ``COST_BLOCK_ELEMENTS`` floats, so each
     temporary stays under 128 KB.  At N = 40, M = 3, 32 x 32 on a 2-CPU
     Xeon, rows one at a time (numpy's per-call overhead once per row) took
@@ -127,7 +130,7 @@ def _cost_matrix(preds: list, gts: list, weights: LossWeights,
     if len(shapes) > 1:
         raise DimensionError(f"mask shapes differ: {sorted(shapes)}")
     y = np.stack([gt.mask for gt in gts])
-    fg = y == 1
+    fg_index = [np.flatnonzero(gt.mask) for gt in gts]
     p = np.stack([pr.mask_probs for pr in preds])[:, None]  # (N, 1, h, w)
     cls_term = _class_nll(np.stack([pr.click_class_probs for pr in preds]),
                           [gt.class_index for gt in gts])
@@ -136,7 +139,7 @@ def _cost_matrix(preds: list, gts: list, weights: LossWeights,
     for start in range(0, len(preds), rows):
         block = slice(start, start + rows)
         pt = _pt_kernel(p[block], y)
-        coeffs, omp, mod = adaptive._afl_coeffs(pt, fg, afl_params)
+        coeffs, omp, mod = adaptive._afl_coeffs(pt, fg_index, afl_params)
         afl_px, _ = losses._powlog_terms(pt, omp, mod, coeffs.gamma_d[..., None, None],
                                          afl_params.alpha, coeffs.mu[..., None, None], grad=False)
         dice, _ = losses._dice_kernel(p[block], y, 1.0, grad=False)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GenerationError, ParameterError, as_prob_map, check_same_shape, pt_map, rng_stream
+from .core import GenerationError, ParameterError, rng_stream
 
 SHAPE_KINDS = ("disk", "ellipse", "blob")
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}  # by field annotation
@@ -180,26 +180,3 @@ def _min_boundary_radius(mask: np.ndarray, cy: float, cx: float) -> float:
     if ys.size == 0:
         return float(min(mask.shape)) / 2.0
     return float(np.hypot(ys - cy, xs - cx).min())
-
-
-def difficulty_profile(sample: SynthSample, pred, bins: int = 20) -> dict:
-    """Histogram of pt over the image, split foreground vs background.
-
-    Foreground is the union of all instance masks.  Bin counts sum to the
-    pixel count.
-    """
-    p = as_prob_map(pred)
-    union = np.zeros_like(sample.gt_instances[0])
-    for m in sample.gt_instances:
-        union |= m
-    check_same_shape(p, union)
-    pt = pt_map(p, union)
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    fg = union == 1
-    fg_counts, _ = np.histogram(pt[fg], bins=edges)
-    bg_counts, _ = np.histogram(pt[~fg], bins=edges)
-    return {
-        "edges": edges.tolist(),
-        "foreground": fg_counts.tolist(),
-        "background": bg_counts.tolist(),
-    }

@@ -119,12 +119,46 @@ def reference_central_difference_grad(value_fn, prob: np.ndarray) -> np.ndarray:
     return central_diff(value_fn, prob, 1e-6)
 
 
+def reference_afl_value(pred, gt, gamma_d: float, mu_val: float, alpha: float) -> float:
+    """Summed AFL value of a validated pair with gamma_d and mu frozen at the
+    given numbers: the function whose finite differences the detached
+    analytic gradient must reproduce."""
+    pt = pt_map(pred, gt)
+    omp = 1.0 - pt
+    value_px, _ = reference_powlog_terms(pt, omp, omp ** gamma_d, gamma_d, alpha, mu_val, grad=False)
+    return float(value_px.sum())
+
+
+def reference_afl_step(pred, gt, params):
+    """``(value, grad_wrt_prob, diagnostics)`` of the AFL step on one
+    validated pair, with ``pt[fg].mean()`` and Python-float exponents."""
+    params.validate()
+    y = as_binary_mask(gt)
+    pt = pt_map(pred, y)
+    fg = y == 1
+    hard_count = int(fg.sum())
+    fg_pt_mean = float(pt[fg].mean()) if hard_count else 1.0
+    g_a = 1.0 - fg_pt_mean if params.ada_enabled else 0.0
+    g_d = params.gamma + g_a
+    omp = 1.0 - pt
+    mod = omp ** g_d
+    mu_val = 1.0
+    if params.agr_enabled:
+        denom = float(mod.sum() * (1.0 + params.delta * g_d))
+        mu_val = pt.size / max(denom, adaptive.MU_FLOOR_PER_PIXEL * pt.size)
+    value_px, dvalue_dpt = reference_powlog_terms(pt, omp, mod, g_d, params.alpha, mu_val)
+    chain = np.where(fg, 1.0, -1.0) * (pt > DEFAULT_EPS_CLIP)
+    diag = {"gamma_a": g_a, "gamma_d": g_d, "mu": mu_val, "hard_count": hard_count,
+            "foreground_pt_mean": fg_pt_mean}
+    return float(value_px.sum()), dvalue_dpt * chain, diag
+
+
 def reference_frozen_value_fn(name: str, pred, gt, params: dict):
     """Scalar value function of one validated public loss call, with the nfl
     scale and AFL's gamma_d and mu frozen at ``pred``."""
     if name == "afl":
         _, diag = adaptive.afl(pred, gt, adaptive.AflParams(**params))
-        return lambda p: adaptive.afl_value_with_coeffs(p, gt, diag.gamma_d, diag.mu, params["alpha"])
+        return lambda p: reference_afl_value(p, gt, diag.gamma_d, diag.mu, params["alpha"])
     if name == "nfl":
         scale = losses.nfl(pred, gt, params["gamma"]).diagnostics["nfl_scale"]
         return lambda p: scale * losses.focal(p, gt, params["gamma"]).value

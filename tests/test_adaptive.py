@@ -5,7 +5,7 @@ import pytest
 
 from clicklab import adaptive, losses
 from clicklab.core import DimensionError, DomainError, ParameterError, rng_stream
-from oracles import bits, central_diff
+from oracles import bits, central_diff, reference_afl_step, reference_afl_value
 
 ONE = np.array([[1]], dtype=np.uint8)
 
@@ -160,7 +160,7 @@ def test_afl_gradient_against_frozen_finite_differences():
     params = adaptive.AflParams(1.7, 0.8, 0.4)
     out, diag = adaptive.afl(pred, gt, params)
     fd = central_diff(
-        lambda p: adaptive.afl_value_with_coeffs(p, gt, diag.gamma_d, diag.mu, params.alpha),
+        lambda p: reference_afl_value(p, gt, diag.gamma_d, diag.mu, params.alpha),
         pred)
     np.testing.assert_allclose(out.grad_wrt_prob, fd, rtol=1e-5, atol=1e-7)
 
@@ -183,9 +183,10 @@ def test_afl_params_validation():
             adaptive.AflParams(alpha=alpha).validate()
 
 
-def test_single_map_coefficients_equal_batched_ones_bit_for_bit():
-    # the float path of one map against the (1, 1) case of the batched
-    # path; gamma 0.5 and 2.0 with ADA off hit numpy's sqrt and square
+def test_bound_afl_step_equals_float_oracle_bit_for_bit():
+    # the (1, 1, h, w) case of the batched coefficients against pt[fg].mean()
+    # and Python-float exponents; gamma 0.5 and 2.0 with ADA off hit numpy's
+    # sqrt and square; five maps have an empty foreground and five a full one
     rng = rng_stream(31, "test/afl_map_coeffs")
     for case in range(60):
         h, w = (int(v) for v in rng.integers(1, 12, size=2))
@@ -194,12 +195,10 @@ def test_single_map_coefficients_equal_batched_ones_bit_for_bit():
         gamma = [0.5, 2.0, float(rng.uniform(0.0, 5.0))][case % 3]
         params = adaptive.AflParams(gamma=gamma, delta=float(rng.uniform(0.0, 1.0)),
                                     ada_enabled=case % 4 != 0, agr_enabled=case % 5 != 0)
-        target = losses.Target(gt)
-        pt, _ = target.pt_and_chain(pred)
-        diag, omp, mod = adaptive._afl_map_coeffs(pt, target.fg_index, params)
-        coeffs, omp_b, mod_b = adaptive._afl_coeffs(pt[None, None], target.fg[None], params)
-        assert repr(diag.as_dict()) == repr({k: v.item() for k, v in vars(coeffs).items()})
-        assert bits(omp) == bits(omp_b[0, 0]) and bits(mod) == bits(mod_b[0, 0])
+        value, grad, diag = adaptive.afl_loss(params).bind(losses.Target(gt))(pred)
+        want_value, want_grad, want_diag = reference_afl_step(pred, gt, params)
+        assert repr(value) == repr(want_value) and bits(grad) == bits(want_grad)
+        assert repr(diag) == repr(want_diag)
 
 
 # ---------------------------------------------------------------------------

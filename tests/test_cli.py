@@ -172,6 +172,13 @@ MALFORMED_FILES = {
     "classes_list/classes.json": json.dumps([1, 2]),
     "classes_int/pred_00.pm": "PM 1 2\n0.5 0.5\n",
     "classes_int/classes.json": json.dumps({"pred_classes": 5, "gt_classes": []}),
+    # instances directories whose classes.json has a non-numeric pair
+    "pred_class_text/pred_00.pm": "PM 1 2\n0.5 0.5\n",
+    "pred_class_text/classes.json": json.dumps({"pred_classes": ["ab"], "gt_classes": []}),
+    "gt_class_text/pred_00.pm": "PM 1 2\n0.5 0.5\n",
+    "gt_class_text/gt_00.pgm": "P2\n2 1\n255\n0 255\n",
+    "gt_class_text/classes.json": json.dumps({"pred_classes": [[0.5, 0.5]],
+                                              "gt_classes": [["x", 1]]}),
 }
 NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out {tmp}/t.json "
 LOSS_EVAL = "loss eval --pred {tmp}/ok.pm --gt {tmp}/ok.pgm "
@@ -238,6 +245,8 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
     TRAIN_DEMO + "--reduction sum",
     "pt-plot --pred {tmp}/ok.pm --gt {tmp}/ok.pgm --out {tmp}/pt.pm --eps 1e-7",
     LOSS_EVAL + "--loss soft_iou --beta 0.3",
+    "match --instances {tmp}/pred_class_text",
+    "match --instances {tmp}/gt_class_text",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
@@ -253,7 +262,8 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
         "match_unclick_weight_nan", "match_lambda_cli_inf", "match_costs_lambda_mask_nan",
         "match_classes_not_object", "match_pred_classes_not_list", "match_costs_weight_flags",
         "match_costs_default_weight_flag", "loss_eval_reduction_removed", "loss_eval_eps_removed",
-        "train_reduction_removed", "pt_plot_eps_removed", "soft_iou_beta"])
+        "train_reduction_removed", "pt_plot_eps_removed", "soft_iou_beta",
+        "match_pred_class_text", "match_gt_class_text"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)

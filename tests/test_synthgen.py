@@ -74,33 +74,3 @@ def test_spec_json_roundtrip():
     assert synthgen.SynthSpec.from_json(spec.to_json()) == spec
     with pytest.raises(ParameterError):
         synthgen.SynthSpec.from_json({"bogus": 1})
-
-
-# ---------------------------------------------------------------------------
-# difficulty profile
-# ---------------------------------------------------------------------------
-
-def test_profile_perfect_prediction_top_bin():
-    spec = synthgen.SynthSpec(32, 32, 1, "disk", 0.0, False, seed=6)
-    sample = synthgen.generate(spec)
-    prof = synthgen.difficulty_profile(sample, sample.gt_instances[0].astype(float))
-    assert prof["foreground"][-1] == int(sample.gt_instances[0].sum())
-    assert sum(prof["foreground"][:-1]) == 0
-    assert prof["background"][-1] == int((1 - sample.gt_instances[0]).sum())
-
-
-def test_profile_uniform_half_lands_in_middle_bin():
-    spec = synthgen.SynthSpec(32, 32, 1, "disk", 0.0, False, seed=6)
-    sample = synthgen.generate(spec)
-    prof = synthgen.difficulty_profile(sample, np.full((32, 32), 0.5))
-    # 0.5 falls in bin [0.5, 0.55), index 10 of 20
-    assert prof["foreground"][10] == int(sample.gt_instances[0].sum())
-    assert prof["background"][10] == int((1 - sample.gt_instances[0]).sum())
-
-
-def test_profile_bins_sum_to_pixel_count():
-    spec = synthgen.SynthSpec(24, 24, 2, "blob", 1.0, False, seed=8)
-    sample = synthgen.generate(spec)
-    pred = np.linspace(0.0, 1.0, 24 * 24).reshape(24, 24)
-    prof = synthgen.difficulty_profile(sample, pred)
-    assert sum(prof["foreground"]) + sum(prof["background"]) == 24 * 24

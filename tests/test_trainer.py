@@ -5,7 +5,7 @@ import pytest
 
 from clicklab import synthgen, trainer
 from clicklab.core import ParameterError, TrainingError
-from oracles import reference_train
+from oracles import reference_afl_value, reference_train
 
 
 def disk_sample(seed=11):
@@ -111,8 +111,8 @@ def test_analytic_step_matches_finite_difference_step():
         up[i] += h
         down[i] -= h
         fd[i] = (
-            adaptive.afl_value_with_coeffs(probs_at(up), gt, diag0.gamma_d, diag0.mu, params.alpha)
-            - adaptive.afl_value_with_coeffs(probs_at(down), gt, diag0.gamma_d, diag0.mu, params.alpha)
+            reference_afl_value(probs_at(up), gt, diag0.gamma_d, diag0.mu, params.alpha)
+            - reference_afl_value(probs_at(down), gt, diag0.gamma_d, diag0.mu, params.alpha)
         ) / (2 * h)
     np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-6)
 
