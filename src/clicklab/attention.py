@@ -201,10 +201,7 @@ def predict_heads(x: np.ndarray, pixel_embed: ScaleFeatures,
     Zero weights give logistic(0) = 0.5 everywhere and a uniform class pair.
     """
     probs = expit(_mask_logits(x, pixel_embed, params))
-    cls_logits = x @ params.click_head + params.click_bias
-    cls_logits = cls_logits - cls_logits.max(axis=1, keepdims=True)
-    e = np.exp(cls_logits)
-    cls_probs = e / e.sum(axis=1, keepdims=True)
+    cls_probs = masked_softmax(x @ params.click_head + params.click_bias)
     return [InstancePrediction(p, c) for p, c in zip(probs, cls_probs)]
 
 

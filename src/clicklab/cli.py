@@ -390,10 +390,8 @@ def _iter_noc_samples(args):
                 yield f"{os.path.basename(d)}/mask_{j:02d}", features, gt
 
 
-def _parse_predictor(kind: str, radius: float):
+def _parse_predictor(kind: str):
     """Turn a ``--predictor`` spec into a ``(gt, seed) -> predictor`` factory."""
-    if not radius >= 1:  # the oracle never draws a disk, so check for every predictor
-        raise ParameterError(f"radius must be >= 1, got {radius}")
     if kind == "oracle":
         return lambda gt, seed: clicksim.OraclePredictor(gt)
     if kind.startswith("noisy:"):
@@ -401,21 +399,21 @@ def _parse_predictor(kind: str, radius: float):
             rate = float(kind[len("noisy:"):])
         except ValueError:
             raise ParameterError(f"noisy predictor needs a numeric rate, got {kind!r}") from None
-        return lambda gt, seed: clicksim.NoisyOraclePredictor(gt, rate, seed, radius)
+        return lambda gt, seed: clicksim.NoisyOraclePredictor(gt, rate, seed)
     if kind.startswith("trained:"):
         with open(kind[len("trained:"):]) as fh:
             model = trainer.PixelModel.from_json(json.load(fh))
-        predictor = clicksim.TrainedPredictor(model, radius)
+        predictor = clicksim.TrainedPredictor(model)
         return lambda gt, seed: predictor
     raise ParameterError(f"unknown predictor {kind!r}; use oracle, noisy:<rate>, trained:<file>")
 
 
 def cmd_noc_run(args) -> int:
-    make_predictor = _parse_predictor(args.predictor, args.radius)
+    make_predictor = _parse_predictor(args.predictor)
     traces = []
     for idx, (sample_id, features, gt) in enumerate(_iter_noc_samples(args)):
         traces.append(clicksim.run_noc(make_predictor(gt, args.seed + idx), features, gt,
-                                       max_clicks=args.max_clicks, sample_id=sample_id))
+                                       args.max_clicks, args.radius, sample_id))
     summary = clicksim.aggregate(traces, args.max_clicks)
     payload = {
         "protocol_version": clicksim.PROTOCOL_VERSION,
@@ -560,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="sample dir or synth:<spec.json>")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=_positive_int, default=20, help="samples for synth datasets")
-    p.add_argument("--max-clicks", type=int, default=20, dest="max_clicks")
-    p.add_argument("--radius", type=float, default=5.0)
+    p.add_argument("--max-clicks", type=int, default=clicksim.DEFAULT_MAX_CLICKS, dest="max_clicks")
+    p.add_argument("--radius", type=float, default=clicksim.DEFAULT_CLICK_RADIUS)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_noc_run)
 

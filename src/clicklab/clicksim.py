@@ -16,7 +16,10 @@ Protocol version 1, pinned so traces stay comparable across builds:
 
 Placing a click costs O(H·W) however many error components there are: one
 labelling pass per polarity ranks them all, and only the winner's bounding
-box reaches the distance transform.  Each click disk is drawn in its window.
+box reaches the distance transform.  ``run_noc`` owns one :class:`ClickSession`
+per sample, the clicks and their disk maps; each disk is drawn once, in its
+window, when its click is added.  Every predictor implements
+``predict(features, session)`` and reads the session's maps.
 """
 
 from __future__ import annotations
@@ -136,23 +139,47 @@ def next_click(pred, gt, prior=()) -> ClickRecord:
     return ClickRecord(r + rows.start, c + cols.start, positive=positive, index=len(prior) + 1)
 
 
-def encode_clicks(clicks, h: int, w: int, radius: float = DEFAULT_CLICK_RADIUS):
-    """Binary disk maps (positive, negative); strict Euclidean radius >= 1,
-    where an infinite radius covers the whole image."""
-    if not radius >= 1:
-        raise ParameterError(f"radius must be >= 1, got {radius}")
-    pos = np.zeros((h, w), dtype=np.float64)
-    neg = np.zeros((h, w), dtype=np.float64)
-    reach = math.ceil(min(radius, h + w))  # no disk pixel lies farther along an axis
-    for click in clicks:
+class ClickSession:
+    """The clicks of one session and their positive and negative disk maps.
+
+    Disks are Euclidean with strict radius >= 1; an infinite radius covers
+    the whole image.  ``add`` draws only the new click's disk, so a session
+    of n clicks draws n disks.
+    """
+
+    def __init__(self, h: int, w: int, radius: float = DEFAULT_CLICK_RADIUS):
+        if not radius >= 1:
+            raise ParameterError(f"radius must be >= 1, got {radius}")
+        self.radius = radius
+        self.clicks: list[ClickRecord] = []
+        self.pos = np.zeros((h, w), dtype=np.float64)
+        self.neg = np.zeros((h, w), dtype=np.float64)
+
+    def add(self, click: ClickRecord) -> None:
+        h, w = self.pos.shape
         if not (0 <= click.row < h and 0 <= click.col < w):
             raise ParameterError(f"click ({click.row}, {click.col}) outside {h}x{w} image")
+        reach = math.ceil(min(self.radius, h + w))  # no disk pixel lies farther along an axis
         r0, c0 = max(click.row - reach, 0), max(click.col - reach, 0)
         rows, cols = np.ogrid[r0:min(click.row + reach + 1, h), c0:min(click.col + reach + 1, w)]
-        disk = np.hypot(rows - click.row, cols - click.col) < radius
-        target = pos if click.positive else neg
+        disk = np.hypot(rows - click.row, cols - click.col) < self.radius
+        target = self.pos if click.positive else self.neg
         target[r0:r0 + disk.shape[0], c0:c0 + disk.shape[1]][disk] = 1.0
-    return pos, neg
+        self.clicks.append(click)
+
+    def channels(self, features: np.ndarray) -> np.ndarray:
+        """The (h, w, c) ``features`` with the positive and negative maps appended."""
+        if features.shape[:2] != self.pos.shape:
+            raise DimensionError(f"features {features.shape[:2]} != click maps {self.pos.shape}")
+        return np.concatenate([features, self.pos[..., None], self.neg[..., None]], axis=-1)
+
+
+def encode_clicks(clicks, h: int, w: int, radius: float = DEFAULT_CLICK_RADIUS):
+    """Disk maps (positive, negative) of ``clicks``, drawn by a ClickSession."""
+    session = ClickSession(h, w, radius)
+    for click in clicks:
+        session.add(click)
+    return session.pos, session.neg
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +192,7 @@ class OraclePredictor:
     def __init__(self, gt):
         self.gt = as_binary_mask(gt)
 
-    def predict(self, features, clicks):
+    def predict(self, features, session):
         return self.gt.astype(np.float64)
 
 
@@ -176,7 +203,7 @@ class ConstantPredictor:
         self.shape = tuple(shape)
         self.value = float(value)
 
-    def predict(self, features, clicks):
+    def predict(self, features, session):
         return np.full(self.shape, self.value, dtype=np.float64)
 
 
@@ -187,40 +214,35 @@ class NoisyOraclePredictor:
     so accumulated clicks pin down their neighborhoods.
     """
 
-    def __init__(self, gt, error_rate: float, seed: int, radius: float = DEFAULT_CLICK_RADIUS):
+    def __init__(self, gt, error_rate: float, seed: int):
         if not (0.0 <= error_rate <= 1.0):
             raise ParameterError(f"error_rate must be in [0, 1], got {error_rate}")
         self.gt = as_binary_mask(gt)
         self.error_rate = float(error_rate)
         self.seed = int(seed)
-        self.radius = radius
 
-    def predict(self, features, clicks):
-        rng = rng_stream(self.seed, f"clicksim/noisy/{len(clicks)}")
+    def predict(self, features, session):
+        rng = rng_stream(self.seed, f"clicksim/noisy/{len(session.clicks)}")
         flips = rng.random(self.gt.shape) < self.error_rate
-        pos, neg = encode_clicks(clicks, *self.gt.shape, radius=self.radius)
-        flips &= (pos + neg) == 0.0
+        flips &= (session.pos + session.neg) == 0.0
         return np.where(flips, 1.0 - self.gt, self.gt).astype(np.float64)
 
 
 class TrainedPredictor:
     """Wraps a model with one weight per stacked channel and
-    ``predict_probs(stacked_channels)``; clicks are appended to the feature
-    stack as a positive and a negative disk map."""
+    ``predict_probs(stacked_channels)``; the session's positive and negative
+    disk maps are appended to the feature stack."""
 
-    def __init__(self, model, radius: float = DEFAULT_CLICK_RADIUS):
+    def __init__(self, model):
         self.model = model
-        self.radius = radius
 
-    def predict(self, features, clicks):
-        h, w, channels = features.shape
+    def predict(self, features, session):
+        channels = features.shape[-1]
         if len(self.model.weights) != channels + 2:
             raise DimensionError(
                 f"model has {len(self.model.weights)} weights, expected {channels} feature "
                 "channels + 2 click channels")
-        pos, neg = encode_clicks(clicks, h, w, radius=self.radius)
-        stacked = np.concatenate([features, pos[..., None], neg[..., None]], axis=-1)
-        return self.model.predict_probs(stacked)
+        return self.model.predict_probs(session.channels(features))
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +250,19 @@ class TrainedPredictor:
 # ---------------------------------------------------------------------------
 
 def run_noc(predictor, features, gt, max_clicks: int = DEFAULT_MAX_CLICKS,
-            sample_id: str = "") -> SimTrace:
-    """Click-predict-score loop; stops at IoU 0.90 or the click cap."""
+            radius: float = DEFAULT_CLICK_RADIUS, sample_id: str = "") -> SimTrace:
+    """Click-predict-score loop over one ClickSession; stops at IoU 0.90 or the click cap."""
     y = as_binary_mask(gt)
     if not y.any():
         raise ParameterError("ground truth must contain foreground")
     if max_clicks < 1:
         raise ParameterError("max_clicks must be >= 1")
 
-    clicks = [first_click(y)]
+    session = ClickSession(*y.shape, radius)
+    session.add(first_click(y))
     ious: list[float] = []
     for step in range(1, max_clicks + 1):
-        prob = predictor.predict(features, clicks)
+        prob = predictor.predict(features, session)
         mask = binarize(prob)
         check_same_shape(mask, y)
         score = iou(mask, y)
@@ -247,11 +270,11 @@ def run_noc(predictor, features, gt, max_clicks: int = DEFAULT_MAX_CLICKS,
         if score >= DEFAULT_THRESHOLDS[1]:
             break
         if step < max_clicks:
-            clicks.append(next_click(mask, y, prior=clicks))
+            session.add(next_click(mask, y, prior=session.clicks))
 
     noc85, failed85 = _noc_at(ious, DEFAULT_THRESHOLDS[0], max_clicks)
     noc90, failed90 = _noc_at(ious, DEFAULT_THRESHOLDS[1], max_clicks)
-    return SimTrace(clicks, ious, noc85, noc90, failed85, failed90, sample_id)
+    return SimTrace(session.clicks, ious, noc85, noc90, failed85, failed90, sample_id)
 
 
 def _noc_at(ious, threshold, max_clicks):

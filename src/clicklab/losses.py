@@ -39,9 +39,6 @@ from .core import (
     check_same_shape,
 )
 
-BASELINE_KINDS = ("bce", "wbce", "balanced_ce", "soft_iou", "focal", "nfl", "poly", "dice")
-
-
 @dataclass
 class LossOutput:
     value: float
@@ -346,9 +343,9 @@ _LOSS_PARAMS = {
 
 
 def make_loss(name: str, **params) -> Loss:
-    """Build the :class:`Loss` named by one of BASELINE_KINDS or 'afl',
-    checking its parameters.  Keyword arguments the loss does not take are
-    rejected."""
+    """Build the :class:`Loss` named by a key of ``_LOSS_PARAMS`` ('bce',
+    'focal', ..., 'afl'), checking its parameters.  Keyword arguments the
+    loss does not take are rejected."""
     name = name.lower()
     if name not in _LOSS_PARAMS:
         raise ParameterError(f"unknown loss {name!r}")

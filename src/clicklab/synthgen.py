@@ -18,7 +18,6 @@ multi-mask matcher has to disambiguate.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +57,6 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, obj) -> "SynthSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ParameterError(f"spec must be a JSON object, got {type(obj).__name__}")
         kinds = {f.name: f.type for f in dataclasses.fields(cls)}

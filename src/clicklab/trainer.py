@@ -16,13 +16,12 @@ model and log equal those of a loop of validated loss calls bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .clicksim import ClickRecord, encode_clicks, interior_point
+from .clicksim import ClickRecord, ClickSession, interior_point
 from .core import ParameterError, TrainingError, check_nonnegative
 from .losses import Target, make_loss
 from .synthgen import SynthSample
@@ -47,8 +46,6 @@ class PixelModel:
 
     @classmethod
     def from_json(cls, obj) -> "PixelModel":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         try:
             weights = np.asarray(obj["weights"], dtype=np.float64)
             bias = float(obj["bias"])
@@ -78,25 +75,14 @@ class TrainConfig:
         return self
 
 
-def logit_chain(grad_wrt_prob: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Pull a probability-space gradient back to logit space: dL/dz = dL/dp * p(1-p)."""
-    p = np.asarray(probs, dtype=np.float64)
-    g = np.asarray(grad_wrt_prob, dtype=np.float64)
-    if p.shape != g.shape:
-        raise ParameterError(f"gradient shape {g.shape} != probability shape {p.shape}")
-    return g * p * (1.0 - p)
-
-
 def training_channels(sample: SynthSample, gt: np.ndarray) -> np.ndarray:
     """Feature stack + one positive and one negative training click disk."""
-    h, w = gt.shape
-    pos_click = ClickRecord(*interior_point(gt), positive=True, index=1)
+    session = ClickSession(*gt.shape)
+    session.add(ClickRecord(*interior_point(gt), positive=True, index=1))
     bg = (1 - gt).astype(np.uint8)
-    clicks = [pos_click]
     if bg.any():
-        clicks.append(ClickRecord(*interior_point(bg), positive=False, index=2))
-    pos, neg = encode_clicks(clicks, h, w)
-    return np.concatenate([sample.feature_map, pos[..., None], neg[..., None]], axis=-1)
+        session.add(ClickRecord(*interior_point(bg), positive=False, index=2))
+    return session.channels(sample.feature_map)
 
 
 def train(sample: SynthSample, config: TrainConfig = TrainConfig()):

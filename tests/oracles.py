@@ -391,6 +391,15 @@ def reference_hungarian(cost) -> matching.MatchResult:
 # training, one validated loss call per step
 # ---------------------------------------------------------------------------
 
+def logit_chain(grad_wrt_prob: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Pull a probability-space gradient back to logit space: dL/dz = dL/dp * p(1-p)."""
+    p = np.asarray(probs, dtype=np.float64)
+    g = np.asarray(grad_wrt_prob, dtype=np.float64)
+    if p.shape != g.shape:
+        raise ParameterError(f"gradient shape {g.shape} != probability shape {p.shape}")
+    return g * p * (1.0 - p)
+
+
 def reference_train(sample, config):
     """``trainer.train`` calling the public loss on each step: every step
     re-validates the probability map and the ground truth, builds the
@@ -415,7 +424,7 @@ def reference_train(sample, config):
         out = loss_fn(probs, gt)
         if not np.isfinite(out.value):
             raise TrainingError(f"non-finite loss at step {step}")
-        g_z = trainer.logit_chain(out.grad_wrt_prob, probs)
+        g_z = logit_chain(out.grad_wrt_prob, probs)
         grad = np.append(
             np.tensordot(channels, g_z, axes=([0, 1], [0, 1])), g_z.sum())
 

@@ -158,11 +158,17 @@ MALFORMED_FILES = {
     "noise_nan.json": json.dumps({"boundary_noise": float("nan")}),
     "seed_text.json": json.dumps({"seed": "1"}),
     "spec_not_object.json": "5",
+    "spec_json_string.json": json.dumps(json.dumps({"height": 32, "width": 32})),
     "three_weights.json": json.dumps({"weights": [0.0, 0.0, 0.0], "bias": 0.0}),
     "text_weight.json": json.dumps({"weights": ["a"] * 6, "bias": 0.0}),
     "nan_weight.json": json.dumps({"weights": [float("nan")] * 6, "bias": 0.0}),
     "nested_weights.json": json.dumps({"weights": [[0.0] * 6], "bias": 0.0}),
     "text_bias.json": json.dumps({"weights": [0.0] * 6, "bias": "b"}),
+    "model_json_string.json": json.dumps(json.dumps({"weights": [0.0] * 6, "bias": 0.0})),
+    # a sample directory whose feature map and mask differ in size
+    "sample_000/meta.json": json.dumps({}),
+    "sample_000/mask_00.pgm": "P2\n2 1\n255\n0 255\n",
+    "sample_000/feat_00.pm": "PM 1 3\n0.5 0.5 0.5\n",
     "costs.json": json.dumps([[1.0, 2.0], [3.0, 1.0]]),
     # an instances directory of one prediction and no ground truth
     "pred_00.pm": "PM 1 2\n0.5 0.5\n",
@@ -247,6 +253,10 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
     LOSS_EVAL + "--loss soft_iou --beta 0.3",
     "match --instances {tmp}/pred_class_text",
     "match --instances {tmp}/gt_class_text",
+    "synth gen --spec {tmp}/spec_json_string.json --out {tmp}/d",
+    NOC_TRAINED + "--predictor trained:{tmp}/model_json_string.json",
+    "noc run --predictor trained:{tmp}/three_weights.json --dataset {tmp} --seed 1 "
+    "--out {tmp}/t.json",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
@@ -263,7 +273,8 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
         "match_classes_not_object", "match_pred_classes_not_list", "match_costs_weight_flags",
         "match_costs_default_weight_flag", "loss_eval_reduction_removed", "loss_eval_eps_removed",
         "train_reduction_removed", "pt_plot_eps_removed", "soft_iou_beta",
-        "match_pred_class_text", "match_gt_class_text"])
+        "match_pred_class_text", "match_gt_class_text", "synth_spec_json_string",
+        "model_json_string", "noc_features_mask_size_mismatch"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clicklab import clicksim, synthgen
-from clicklab.core import ParameterError, PerfectPredictionError, rng_stream
+from clicklab.core import DimensionError, ParameterError, PerfectPredictionError, rng_stream
 from oracles import reference_encode_clicks, reference_next_click
 
 
@@ -77,6 +77,42 @@ def test_encode_matches_full_image_reference():
         want = reference_encode_clicks(clicks, h, w, radius)
         for g, r in zip(got, want):
             assert g.dtype == r.dtype and np.array_equal(g, r), (h, w, radius, clicks)
+
+
+def test_session_maps_match_full_image_reference_after_every_add():
+    rng = rng_stream(44, "test/session_sweep")
+    radii = (1.0, 1.5, 2.5, 60.0, float("inf"))
+    sizes = [(1, 1), (1, 40), (40, 1), (40, 40)]
+    sizes += [tuple(int(v) for v in rng.integers(1, 41, size=2)) for _ in range(296)]
+    for h, w in sizes:
+        radius = radii[rng.integers(len(radii))]
+        if rng.random() < 0.3:
+            radius = float(rng.uniform(1.0, 12.0))
+        session = clicksim.ClickSession(h, w, radius)
+        for i in range(int(rng.integers(1, 8))):
+            row, col = int(rng.integers(h)), int(rng.integers(w))
+            if rng.random() < 0.5:  # pin to a random border
+                side = int(rng.integers(4))
+                row = (0, h - 1, row, row)[side]
+                col = (col, col, 0, w - 1)[side]
+            session.add(clicksim.ClickRecord(row, col, bool(rng.random() < 0.5), i + 1))
+            want = reference_encode_clicks(session.clicks, h, w, radius)
+            for g, r in zip((session.pos, session.neg), want):
+                assert g.dtype == r.dtype and np.array_equal(g, r), (h, w, radius, session.clicks)
+
+
+def test_session_channels_append_pos_then_neg():
+    session = clicksim.ClickSession(3, 4, radius=1)
+    session.add(clicksim.ClickRecord(0, 1, True, 1))
+    session.add(clicksim.ClickRecord(2, 3, False, 2))
+    features = np.arange(24, dtype=np.float64).reshape(3, 4, 2)
+    stacked = session.channels(features)
+    assert stacked.shape == (3, 4, 4)
+    np.testing.assert_array_equal(stacked[..., :2], features)
+    np.testing.assert_array_equal(stacked[..., 2], session.pos)
+    np.testing.assert_array_equal(stacked[..., 3], session.neg)
+    with pytest.raises(DimensionError):
+        session.channels(np.zeros((4, 3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +276,24 @@ def test_run_noc_deterministic():
     b = clicksim.run_noc(clicksim.NoisyOraclePredictor(gt, 0.1, 7), feats(gt), gt)
     assert a.ious == b.ious
     assert [c.as_dict() for c in a.clicks] == [c.as_dict() for c in b.clicks]
+
+
+def test_run_noc_adds_each_click_once(monkeypatch):
+    added = []
+    real_add = clicksim.ClickSession.add
+    monkeypatch.setattr(clicksim.ClickSession, "add",
+                        lambda self, click: added.append(click) or real_add(self, click))
+    gt = centered_square()
+    trace = clicksim.run_noc(clicksim.ConstantPredictor(gt.shape, 0.0), feats(gt), gt)
+    assert len(trace.clicks) == 20
+    assert added == trace.clicks
+
+
+@pytest.mark.parametrize("radius", [float("nan"), 0.5])
+def test_run_noc_rejects_radius_below_one_or_nan(radius):
+    gt = centered_square()
+    with pytest.raises(ParameterError):
+        clicksim.run_noc(clicksim.OraclePredictor(gt), feats(gt), gt, radius=radius)
 
 
 def test_protocol_version_one_trace_pinned():

