@@ -33,7 +33,7 @@ from .core import (
     pt_map,
     rng_stream,
 )
-from .fileio import atomic_write_json, atomic_write_text, read_pgm, read_pm, write_pm
+from .fileio import atomic_write_json, atomic_write_text, read_pgm, read_pm, write_pgm, write_pm
 from .losses import make_loss, grad_stats, powlog_kernel
 
 
@@ -303,8 +303,6 @@ def cmd_attention_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_sample_dir(out_dir: str, sample: synthgen.SynthSample) -> None:
-    from .fileio import write_pgm
-
     os.makedirs(out_dir, exist_ok=True)
     for i, mask in enumerate(sample.gt_instances):
         write_pgm(os.path.join(out_dir, f"mask_{i:02d}.pgm"), mask)
@@ -318,13 +316,16 @@ def _write_sample_dir(out_dir: str, sample: synthgen.SynthSample) -> None:
 
 
 def load_sample_dir(path: str):
-    """Read back a sample directory written by ``synth gen``."""
+    """Read back a sample directory written by ``synth gen``, all maps one size."""
     with open(os.path.join(path, "meta.json")) as fh:
         meta = json.load(fh)
     masks = [read_pgm(f) for f in sorted(glob.glob(os.path.join(path, "mask_*.pgm")))]
     feats = [read_pm(f) for f in sorted(glob.glob(os.path.join(path, "feat_*.pm")))]
     if not masks or not feats:
         raise ParameterError(f"{path}: not a sample directory (missing masks or features)")
+    shapes = {a.shape for a in feats + masks}
+    if len(shapes) > 1:
+        raise DimensionError(f"{path}: feature maps and masks differ in size: {sorted(shapes)}")
     return np.stack(feats, axis=-1), masks, meta
 
 

@@ -27,7 +27,7 @@ DEFAULT_H = 1e-6
 DEFAULT_RTOL = 1e-5
 DEFAULT_ATOL = 1e-7
 
-CHECKED_LOSSES = ("bce", "wbce", "balanced_ce", "soft_iou", "focal", "nfl", "poly", "dice", "afl")
+CHECKED_LOSSES = tuple(losses._LOSS_PARAMS)
 
 
 def central_difference_grad(value_fn, prob: np.ndarray) -> np.ndarray:
@@ -79,6 +79,8 @@ def _analytic_and_frozen(name: str, pred, gt, params):
     target = losses.Target(gt)
     _, analytic, diag = losses.make_loss(name, **params).bind(target)(pred)
     yf = target.yf
+    weighted = name in ("wbce", "balanced_ce")  # frozen class weights as mu
+    mu = losses._ce_weights(name, diag["beta"], target)[1] if weighted else diag.get("mu", 1.0)
 
     def values(stack):
         p = as_prob_stack(stack, yf.shape)
@@ -86,13 +88,9 @@ def _analytic_and_frozen(name: str, pred, gt, params):
             return losses._dice_kernel(p, yf, params["smooth"], grad=False)[0]
         if name == "soft_iou":
             return losses._soft_iou_kernel(p, yf, grad=False)[0]
-        if name in ("wbce", "balanced_ce"):
-            w_pos, w_neg = losses._ce_weights(name, diag["beta"], target)
-            value_px, _ = losses._weighted_ce_kernel(p, yf, w_pos, w_neg, grad=False)
-            return value_px.sum(axis=(-2, -1))
         value_px, _ = losses.powlog_kernel(
             _pt_kernel(p, target.mask), diag.get("gamma_d", params.get("gamma", 0.0)),
-            params.get("alpha", 0.0), diag.get("mu", 1.0), grad=False)
+            params.get("alpha", 0.0), mu, grad=False)
         return diag.get("nfl_scale", 1.0) * value_px.sum(axis=(-2, -1))
 
     return analytic, values

@@ -3,10 +3,12 @@
 Every loss returns a :class:`LossOutput` holding the scalar value (the sum
 over pixels) and the exact per-pixel derivative with respect to the
 predicted probability; pt is clamped from below at ``DEFAULT_EPS_CLIP``.
-bce, focal and poly all evaluate through one shared kernel, so the
-algebraic reductions
+Every cross-entropy loss (bce, focal, poly, nfl and the class-weighted
+wbce and balanced_ce) evaluates through one shared kernel with that one
+clamp, so the algebraic reductions
 
     focal(gamma=0) == bce        poly(alpha=0) == focal
+    wbce(beta=1) == bce          balanced_ce(beta=1/2) == bce / 2
 
 hold bit-for-bit, not merely to tolerance.  Coefficients that depend on the
 whole map (the nfl normalizer, and the adaptive factors in the adaptive
@@ -116,14 +118,14 @@ class Loss:
         return LossOutput(*self.bind(target)(p))
 
 
-def _powlog_step(target: Target, gamma, alpha: float, normalized: bool = False):
-    """bce, focal and poly; with ``normalized``, nfl's detached N / sum
-    (1-pt)^gamma scale, and value 0, grad 0 on an all-perfect map."""
+def _powlog_step(target: Target, gamma, alpha: float, normalized: bool = False, mu=1.0):
+    """bce, focal and poly, times ``mu``; with ``normalized``, nfl's detached
+    N / sum (1-pt)^gamma scale, and value 0, grad 0 on an all-perfect map."""
     def step(p):
         pt, chain = target.pt_and_chain(p)
         omp = 1.0 - pt
         mod = omp ** gamma
-        value_px, grad = _powlog_terms(pt, omp, mod, gamma, alpha, 1.0)
+        value_px, grad = _powlog_terms(pt, omp, mod, gamma, alpha, mu)
         diag = {}
         if normalized:
             norm = float(mod.sum())
@@ -146,28 +148,32 @@ def _ratio_step(target: Target, kernel):
 
 
 def _weighted_ce_step(target: Target, kind: str, beta):
-    w_pos, w_neg = _ce_weights(kind, beta, target)
+    """wbce and balanced_ce: bce's step with the per-pixel class weights as mu."""
+    beta, weights = _ce_weights(kind, beta, target)
+    step = _powlog_step(target, 0.0, 0.0, mu=weights)
 
-    def step(p):
-        value_px, grad = _weighted_ce_kernel(p, target.yf, w_pos, w_neg)
-        return float(value_px.sum()), grad, {"beta": w_pos}
-    return step
+    def weighted_step(p):
+        value, grad, _ = step(p)
+        return value, grad, {"beta": beta}
+    return weighted_step
 
 
-def _ce_weights(kind: str, beta, target: Target) -> tuple[float, float]:
-    """(w_pos, w_neg) of 'wbce', else of 'balanced_ce', against ``target``."""
+def _ce_weights(kind: str, beta, target: Target) -> tuple[float, np.ndarray]:
+    """beta of 'wbce', else of 'balanced_ce', against ``target``, and the
+    per-pixel class weights: beta on the foreground, 1 or 1 - beta elsewhere."""
     if kind == "wbce":
         if beta is None:
             positives = int(np.count_nonzero(target.mask))
-            if positives == 0:
-                raise ParameterError("wbce auto-beta is undefined for all-background gt")
+            if positives in (0, target.mask.size):
+                raise ParameterError(f"wbce auto-beta needs both classes, got {positives} of "
+                                     f"{target.mask.size} gt pixels in the foreground")
             beta = (target.mask.size - positives) / positives
         elif not (math.isfinite(beta) and beta > 0.0):
             raise ParameterError(f"wbce beta must be finite and > 0, got {beta}")
-        return float(beta), 1.0
+        return float(beta), np.where(target.fg, float(beta), 1.0)
     if beta is None or not (0.0 < beta < 1.0):
         raise ParameterError(f"balanced_ce needs beta in (0, 1), got {beta}")
-    return float(beta), 1.0 - float(beta)
+    return float(beta), np.where(target.fg, float(beta), 1.0 - float(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +185,8 @@ def powlog_kernel(pt: np.ndarray, g, alpha: float, mu, grad: bool = True):
 
     ``pt`` must already be clamped away from 0.  ``g``, ``alpha`` and ``mu``
     are treated as constants; ``g`` and ``mu`` are floats, or arrays of one
-    value per map shaped ``(..., 1, 1)`` against pt's (..., h, w) maps.
+    value per map shaped ``(..., 1, 1)`` against pt's (..., h, w) maps, and
+    ``mu`` may also be a per-pixel weight map that broadcasts against pt.
     Returns ``(value_px, dvalue_dpt)``; callers that need only values pass
     ``grad=False`` and get ``dvalue_dpt = None``.
     """
@@ -276,9 +283,11 @@ def aux_loss(kind: str, pred, gt, beta: float | None = None) -> LossOutput:
 
     wbce weights the positive term by a finite beta > 0 (default:
     negatives/positives of the ground truth, which errors out on an
-    all-background map).  balanced_ce splits the two terms as beta vs 1-beta
-    with beta in (0, 1).  soft_iou takes no beta and uses the probabilistic
-    intersection/union.
+    all-background or all-foreground map).  balanced_ce splits the two terms
+    as beta vs 1-beta with beta in (0, 1).  Both are bce with a per-pixel
+    class weight, through bce's kernel and its one clamp (pt >= 1e-7), so
+    wbce(beta=1) equals bce and balanced_ce(beta=1/2) half of it bit for bit.
+    soft_iou takes no beta and uses the probabilistic intersection/union.
     """
     if kind not in ("wbce", "balanced_ce", "soft_iou"):
         raise ParameterError(f"unknown aux loss kind {kind!r}")
@@ -288,19 +297,6 @@ def aux_loss(kind: str, pred, gt, beta: float | None = None) -> LossOutput:
 # ---------------------------------------------------------------------------
 # trusted kernels: any leading axes broadcast, maps are the last two axes
 # ---------------------------------------------------------------------------
-
-def _weighted_ce_kernel(p, yf, w_pos: float, w_neg: float, grad: bool = True):
-    """Per-pixel -(w_pos*y*log(p) + w_neg*(1-y)*log(1-p)) and d/dp.  p is
-    clipped to [eps, 1 - eps], eps = ``DEFAULT_EPS_CLIP``; pixels inside a
-    clip are flat (zero gradient)."""
-    eps = DEFAULT_EPS_CLIP
-    pc = np.clip(p, eps, 1.0 - eps)
-    value_px = -(w_pos * yf * np.log(pc) + w_neg * (1.0 - yf) * np.log(1.0 - pc))
-    if not grad:
-        return value_px, None
-    unclipped = ((p > eps) & (p < 1.0 - eps)).astype(np.float64)
-    return value_px, (-w_pos * yf / pc + w_neg * (1.0 - yf) / (1.0 - pc)) * unclipped
-
 
 def _soft_iou_kernel(p, yf, grad: bool = True):
     """Per-map 1 - sum(p*y) / sum(p + y - p*y) and d/dp."""
@@ -333,11 +329,12 @@ def _one_minus_ratio(num, den, dnum, dden, grad: bool):
 # registry
 # ---------------------------------------------------------------------------
 
-# the keyword arguments make_loss accepts per loss, with their defaults
+# the keyword arguments make_loss accepts per loss, with their defaults, in
+# the order the gradient check reports them
 _LOSS_PARAMS = {
-    "bce": {}, "focal": {"gamma": 2.0}, "poly": {"gamma": 2.0, "alpha": 1.0},
-    "nfl": {"gamma": 2.0}, "dice": {"smooth": 1.0},
-    "wbce": {"beta": None}, "balanced_ce": {"beta": None}, "soft_iou": {},
+    "bce": {}, "wbce": {"beta": None}, "balanced_ce": {"beta": None}, "soft_iou": {},
+    "focal": {"gamma": 2.0}, "nfl": {"gamma": 2.0}, "poly": {"gamma": 2.0, "alpha": 1.0},
+    "dice": {"smooth": 1.0},
     "afl": {"gamma": 2.0, "alpha": 1.0, "delta": 0.4, "ada_enabled": True, "agr_enabled": True},
 }
 

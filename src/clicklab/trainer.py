@@ -46,6 +46,8 @@ class PixelModel:
 
     @classmethod
     def from_json(cls, obj) -> "PixelModel":
+        if not isinstance(obj, dict):
+            raise ParameterError(f"model must be a JSON object, got {type(obj).__name__}")
         try:
             weights = np.asarray(obj["weights"], dtype=np.float64)
             bias = float(obj["bias"])

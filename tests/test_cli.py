@@ -169,6 +169,11 @@ MALFORMED_FILES = {
     "sample_000/meta.json": json.dumps({}),
     "sample_000/mask_00.pgm": "P2\n2 1\n255\n0 255\n",
     "sample_000/feat_00.pm": "PM 1 3\n0.5 0.5 0.5\n",
+    # a sample directory whose two feature maps differ in size
+    "feats_differ/sample_000/meta.json": json.dumps({}),
+    "feats_differ/sample_000/mask_00.pgm": "P2\n2 1\n255\n0 255\n",
+    "feats_differ/sample_000/feat_00.pm": "PM 1 2\n0.5 0.5\n",
+    "feats_differ/sample_000/feat_01.pm": "PM 1 3\n0.5 0.5 0.5\n",
     "costs.json": json.dumps([[1.0, 2.0], [3.0, 1.0]]),
     # an instances directory of one prediction and no ground truth
     "pred_00.pm": "PM 1 2\n0.5 0.5\n",
@@ -257,6 +262,8 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
     NOC_TRAINED + "--predictor trained:{tmp}/model_json_string.json",
     "noc run --predictor trained:{tmp}/three_weights.json --dataset {tmp} --seed 1 "
     "--out {tmp}/t.json",
+    "noc run --predictor oracle --dataset {tmp} --seed 1 --out {tmp}/t.json",
+    "noc run --predictor oracle --dataset {tmp}/feats_differ --seed 1 --out {tmp}/t.json",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
@@ -274,10 +281,11 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
         "match_costs_default_weight_flag", "loss_eval_reduction_removed", "loss_eval_eps_removed",
         "train_reduction_removed", "pt_plot_eps_removed", "soft_iou_beta",
         "match_pred_class_text", "match_gt_class_text", "synth_spec_json_string",
-        "model_json_string", "noc_features_mask_size_mismatch"])
+        "model_json_string", "noc_features_mask_size_mismatch",
+        "noc_oracle_features_mask_size_mismatch", "noc_feature_sizes_differ"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
-        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     try:
         code = main(argv.format(tmp=tmp_path).split())

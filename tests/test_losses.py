@@ -152,18 +152,30 @@ def test_dice_both_empty_is_zero():
 # aux losses
 # ---------------------------------------------------------------------------
 
-def test_wbce_beta_one_equals_bce():
-    rng = rng_stream(13, "test/wbce")
+def saturated_pair(rng):
+    """A random pair whose map holds exact 0 and 1 and pixels within 1e-7 of
+    them, on both classes."""
     pred, gt = random_pair(rng)
-    got = losses.aux_loss("wbce", pred, gt, beta=1.0)
-    want = losses.bce(pred, gt)
-    assert got.value == pytest.approx(want.value, rel=1e-12)
-    np.testing.assert_allclose(got.grad_wrt_prob, want.grad_wrt_prob, rtol=1e-12)
+    pred[:2, :4] = [[0.0, 1.0, 5e-8, 1.0 - 5e-8], [1.0, 0.0, 1.0 - 2e-8, 2e-8]]
+    gt[:2, :4] = [[1, 1, 1, 1], [0, 0, 0, 0]]
+    return pred, gt
+
+
+def test_wbce_beta_one_equals_bce():
+    # one kernel and one pt clamp: equal bit for bit, saturated pixels included
+    rng = rng_stream(13, "test/wbce")
+    for _ in range(20):
+        pred, gt = saturated_pair(rng)
+        got = losses.aux_loss("wbce", pred, gt, beta=1.0)
+        want = losses.bce(pred, gt)
+        assert bits(got.value) == bits(want.value)
+        assert bits(got.grad_wrt_prob) == bits(want.grad_wrt_prob)
 
 
 def test_wbce_auto_beta_requires_foreground():
-    with pytest.raises(ParameterError):
-        losses.aux_loss("wbce", np.full((2, 2), 0.5), np.zeros((2, 2), dtype=np.uint8))
+    for gt in (np.zeros((2, 2), dtype=np.uint8), np.ones((2, 2), dtype=np.uint8)):
+        with pytest.raises(ParameterError):
+            losses.aux_loss("wbce", np.full((2, 2), 0.5), gt)
 
 
 def test_wbce_auto_beta_is_neg_over_pos():
@@ -175,10 +187,12 @@ def test_wbce_auto_beta_is_neg_over_pos():
 
 def test_balanced_ce_half_beta_is_half_bce():
     rng = rng_stream(14, "test/bal")
-    pred, gt = random_pair(rng)
-    got = losses.aux_loss("balanced_ce", pred, gt, beta=0.5)
-    want = losses.bce(pred, gt)
-    assert got.value == pytest.approx(0.5 * want.value, rel=1e-12)
+    for _ in range(20):
+        pred, gt = saturated_pair(rng)
+        got = losses.aux_loss("balanced_ce", pred, gt, beta=0.5)
+        want = losses.bce(pred, gt)
+        assert bits(got.value) == bits(0.5 * want.value)
+        assert bits(got.grad_wrt_prob) == bits(0.5 * want.grad_wrt_prob)
 
 
 def test_soft_iou_exact_match_is_zero():
@@ -264,10 +278,13 @@ def test_leading_axis_kernels_equal_2d_losses_per_map():
         yf = gt.astype(np.float64)
         g, alpha, beta = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 0.95))
         smooth = float(rng.choice([0.0, 1.0, 1.7]))
+        weights = np.where(gt == 1, beta, 1.0 - beta)
         for stack in _kernel_stacks(rng, k, h, w):
             maps = [np.ascontiguousarray(m) for m in stack]
-            value_px, _ = losses.powlog_kernel(_pt_kernel(stack, gt), g, alpha, 1.0, grad=False)
-            ce_px, ce_grad = losses._weighted_ce_kernel(stack, yf, beta, 1.0 - beta)
+            pt = _pt_kernel(stack, gt)
+            value_px, _ = losses.powlog_kernel(pt, g, alpha, 1.0, grad=False)
+            ce_px, ce_grad = losses.powlog_kernel(pt, 0.0, 0.0, weights)
+            ce_grad *= np.where(gt == 1, 1.0, -1.0) * (pt > DEFAULT_EPS_CLIP)
             batched = {
                 "poly": (value_px.sum(axis=(-2, -1)), None),
                 "balanced_ce": (ce_px.sum(axis=(-2, -1)), ce_grad),

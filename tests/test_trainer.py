@@ -124,6 +124,13 @@ def test_model_json_roundtrip():
     assert back.bias == m.bias
 
 
+@pytest.mark.parametrize("obj", ["x", [1, 2]])
+def test_model_from_json_names_a_non_object(obj):
+    with pytest.raises(ParameterError,
+                       match=f"^model must be a JSON object, got {type(obj).__name__}$"):
+        trainer.PixelModel.from_json(obj)
+
+
 SWEPT_LOSSES = [
     ("bce", {}), ("wbce", {}), ("balanced_ce", {"beta": 0.3}), ("soft_iou", {}),
     ("focal", {"gamma": 2.0}), ("nfl", {"gamma": 1.5}),
