@@ -166,8 +166,7 @@ def masked_cross_attention(x, psi, q, k, v, need_weights: bool = False):
 
 
 def camd_layer(x: np.ndarray, attn_mask: np.ndarray, scale: ScaleFeatures,
-               params: AttentionParams, collect: list | None = None,
-               layer: int = 0) -> np.ndarray:
+               params: AttentionParams, collect: list | None = None) -> np.ndarray:
     """One decoder block on the (N, d) queries under an (N, h*w) {0, -inf}
     mask: clicks-aware cross-attention, self-attention, FFN."""
     q = x @ params.f_q
@@ -175,7 +174,7 @@ def camd_layer(x: np.ndarray, attn_mask: np.ndarray, scale: ScaleFeatures,
     x, attn = masked_cross_attention(
         x, psi, q, scale.features @ params.f_k, scale.features @ params.f_v, need_weights=True)
     if collect is not None:
-        collect.append({"attn": attn, "mask": attn_mask, "layer": layer})
+        collect.append({"attn": attn, "mask": attn_mask, "layer": len(collect)})
 
     x = masked_cross_attention(x, 0.0, x @ params.f_q, x @ params.f_k, x @ params.f_v)
     x = np.maximum(x @ params.ffn_w1 + params.ffn_b1, 0.0) @ params.ffn_w2 + params.ffn_b2 + x
@@ -222,7 +221,7 @@ def camd_forward(scales, pixel_embed: ScaleFeatures, params: AttentionParams,
         scale = scales[layer % 3]
         # the logistic is elementwise, so only the resized logits need it
         logits = resize_nearest(_mask_logits(x, pixel_embed, params), scale.h, scale.w)
-        x = camd_layer(x, _attn_rows(expit(logits)), scale, params, collect, layer)
+        x = camd_layer(x, _attn_rows(expit(logits)), scale, params, collect)
     return predict_heads(x, pixel_embed, params)
 
 

@@ -414,7 +414,7 @@ def cmd_noc_run(args) -> int:
     traces = []
     for idx, (sample_id, features, gt) in enumerate(_iter_noc_samples(args)):
         traces.append(clicksim.run_noc(make_predictor(gt, args.seed + idx), features, gt,
-                                       args.max_clicks, args.radius, sample_id))
+                                       args.max_clicks, sample_id))
     summary = clicksim.aggregate(traces, args.max_clicks)
     payload = {
         "protocol_version": clicksim.PROTOCOL_VERSION,
@@ -560,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=_positive_int, default=20, help="samples for synth datasets")
     p.add_argument("--max-clicks", type=int, default=clicksim.DEFAULT_MAX_CLICKS, dest="max_clicks")
-    p.add_argument("--radius", type=float, default=clicksim.DEFAULT_CLICK_RADIUS)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_noc_run)
 

@@ -10,9 +10,9 @@ Protocol version 1, pinned so traces stay comparable across builds:
   ties: smallest (row, col));
 * the first click is positive, placed the same way inside the ground truth;
 * click disks are Euclidean with strict radius (radius 1 = single pixel),
-  default radius 5 at full resolution;
-* simulation stops at the highest threshold or after 20 clicks; a threshold
-  never reached scores 20 and is flagged failed.
+  radius 5 at full resolution;
+* simulation stops at the highest threshold or after 20 clicks (a run may
+  lower this cap); a threshold never reached scores the cap, flagged failed.
 
 Placing a click costs O(H·W) however many error components there are: one
 labelling pass per polarity ranks them all, and only the winner's bounding
@@ -97,9 +97,9 @@ def interior_point(mask: np.ndarray) -> tuple[int, int]:
         raise ParameterError("interior_point needs a nonempty mask")
     padded = np.pad(m, 1)
     dist = ndimage.distance_transform_cdt(padded, metric="chessboard")[1:-1, 1:-1]
-    best = dist.max()
-    where = np.argwhere(dist == best)  # row-major, so [0] is the smallest (row, col)
-    return int(where[0][0]), int(where[0][1])
+    # argmax returns the first maximum in row-major order: the smallest (row, col)
+    r, c = np.unravel_index(dist.argmax(), dist.shape)
+    return int(r), int(c)
 
 
 def first_click(gt) -> ClickRecord:
@@ -250,15 +250,15 @@ class TrainedPredictor:
 # ---------------------------------------------------------------------------
 
 def run_noc(predictor, features, gt, max_clicks: int = DEFAULT_MAX_CLICKS,
-            radius: float = DEFAULT_CLICK_RADIUS, sample_id: str = "") -> SimTrace:
-    """Click-predict-score loop over one ClickSession; stops at IoU 0.90 or the click cap."""
+            sample_id: str = "") -> SimTrace:
+    """Click-predict-score loop over one ClickSession; stops at IoU 0.90 or max_clicks <= 20."""
     y = as_binary_mask(gt)
     if not y.any():
         raise ParameterError("ground truth must contain foreground")
-    if max_clicks < 1:
-        raise ParameterError("max_clicks must be >= 1")
+    if not (1 <= max_clicks <= DEFAULT_MAX_CLICKS):
+        raise ParameterError(f"max_clicks must be in [1, {DEFAULT_MAX_CLICKS}], got {max_clicks}")
 
-    session = ClickSession(*y.shape, radius)
+    session = ClickSession(*y.shape)
     session.add(first_click(y))
     ious: list[float] = []
     for step in range(1, max_clicks + 1):

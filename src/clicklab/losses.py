@@ -118,15 +118,17 @@ class Loss:
         return LossOutput(*self.bind(target)(p))
 
 
-def _powlog_step(target: Target, gamma, alpha: float, normalized: bool = False, mu=1.0):
+def _powlog_step(target: Target, gamma, alpha: float, normalized: bool = False, mu=1.0,
+                 diagnostics=None):
     """bce, focal and poly, times ``mu``; with ``normalized``, nfl's detached
-    N / sum (1-pt)^gamma scale, and value 0, grad 0 on an all-perfect map."""
+    N / sum (1-pt)^gamma scale, and value 0, grad 0 on an all-perfect map.
+    Each step returns a copy of ``diagnostics`` (default empty)."""
     def step(p):
         pt, chain = target.pt_and_chain(p)
         omp = 1.0 - pt
         mod = omp ** gamma
         value_px, grad = _powlog_terms(pt, omp, mod, gamma, alpha, mu)
-        diag = {}
+        diag = dict(diagnostics or {})
         if normalized:
             norm = float(mod.sum())
             if norm == 0.0:
@@ -150,12 +152,7 @@ def _ratio_step(target: Target, kernel):
 def _weighted_ce_step(target: Target, kind: str, beta):
     """wbce and balanced_ce: bce's step with the per-pixel class weights as mu."""
     beta, weights = _ce_weights(kind, beta, target)
-    step = _powlog_step(target, 0.0, 0.0, mu=weights)
-
-    def weighted_step(p):
-        value, grad, _ = step(p)
-        return value, grad, {"beta": beta}
-    return weighted_step
+    return _powlog_step(target, 0.0, 0.0, mu=weights, diagnostics={"beta": beta})
 
 
 def _ce_weights(kind: str, beta, target: Target) -> tuple[float, np.ndarray]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .clicksim import ClickRecord, ClickSession, interior_point
+from .clicksim import ClickRecord, ClickSession, first_click, interior_point
 from .core import ParameterError, TrainingError, check_nonnegative
 from .losses import Target, make_loss
 from .synthgen import SynthSample
@@ -80,7 +80,7 @@ class TrainConfig:
 def training_channels(sample: SynthSample, gt: np.ndarray) -> np.ndarray:
     """Feature stack + one positive and one negative training click disk."""
     session = ClickSession(*gt.shape)
-    session.add(ClickRecord(*interior_point(gt), positive=True, index=1))
+    session.add(first_click(gt))
     bg = (1 - gt).astype(np.uint8)
     if bg.any():
         session.add(ClickRecord(*interior_point(bg), positive=False, index=2))

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -264,6 +265,8 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
     "--out {tmp}/t.json",
     "noc run --predictor oracle --dataset {tmp} --seed 1 --out {tmp}/t.json",
     "noc run --predictor oracle --dataset {tmp}/feats_differ --seed 1 --out {tmp}/t.json",
+    NOC_TRAINED + "--predictor noisy:0.3 --max-clicks 21",
+    NOC_TRAINED + "--predictor noisy:0.05 --radius 3",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
@@ -282,7 +285,8 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
         "train_reduction_removed", "pt_plot_eps_removed", "soft_iou_beta",
         "match_pred_class_text", "match_gt_class_text", "synth_spec_json_string",
         "model_json_string", "noc_features_mask_size_mismatch",
-        "noc_oracle_features_mask_size_mismatch", "noc_feature_sizes_differ"])
+        "noc_oracle_features_mask_size_mismatch", "noc_feature_sizes_differ",
+        "noc_max_clicks_above_cap", "noc_radius_removed"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
@@ -423,22 +427,6 @@ def noc_spec(tmp_path):
     return f"synth:{spec_path}"
 
 
-@pytest.mark.parametrize("predictor, radius, code", [
-    ("noisy:0.05", "nan", 2), ("noisy:0.05", "0.5", 2), ("noisy:0.05", "inf", 0),
-    ("oracle", "nan", 2),
-], ids=["nan-2", "0.5-2", "inf-0", "oracle-nan-2"])
-def test_noc_radius_validated(capsys, tmp_path, noc_spec, predictor, radius, code):
-    out = tmp_path / "t.json"
-    assert main(["noc", "run", "--predictor", predictor, "--dataset", noc_spec, "--seed", "1",
-                 "--count", "1", "--radius", radius, "--out", str(out)]) == code
-    err = capsys.readouterr().err
-    if code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1
-    else:
-        # disks covering the whole image pin every pixel after the first click
-        assert json.loads(out.read_text())["aggregate"]["mean_noc90"] == 1.0
-
-
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_noc_count_below_one_is_usage_error(capsys, tmp_path, noc_spec, count):
     with pytest.raises(SystemExit) as exc:
@@ -496,6 +484,23 @@ def test_readme_cli_examples_parse():
         argv = shlex.split(line, comments=True)[1:]
         args = parser.parse_args(argv)  # an unknown flag exits 2
         assert args.handler.__name__.startswith("cmd_"), line
+
+
+def test_benchmark_cli_commands_parse(tmp_path):
+    # the benchmark drives the CLI with these argv; a flag it passes must stay
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    built = [cls(None, 1, False, str(tmp_path / cls.name), workloads.Gate(), [1])
+             for cls in (workloads.NocNoisy, workloads.PipelineTrained, workloads.VerifySuite)]
+    argvs = [built[0].argv] + [argv for w in built[1:] for _, argv, *_ in w.commands]
+    assert len(argvs) == 6
+    parser = build_parser()
+    for argv in argvs:
+        args = parser.parse_args(argv)  # an unknown flag exits 2
+        assert args.handler.__name__.startswith("cmd_"), argv
 
 
 def test_report_reproducible_for_same_seed(capsys):

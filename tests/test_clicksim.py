@@ -289,11 +289,23 @@ def test_run_noc_adds_each_click_once(monkeypatch):
     assert added == trace.clicks
 
 
-@pytest.mark.parametrize("radius", [float("nan"), 0.5])
-def test_run_noc_rejects_radius_below_one_or_nan(radius):
+@pytest.mark.parametrize("max_clicks", [0, clicksim.DEFAULT_MAX_CLICKS + 1])
+def test_run_noc_rejects_max_clicks_outside_protocol_cap(max_clicks):
+    # protocol version 1 scores a threshold not reached by click 20 as 20
     gt = centered_square()
     with pytest.raises(ParameterError):
-        clicksim.run_noc(clicksim.OraclePredictor(gt), feats(gt), gt, radius=radius)
+        clicksim.run_noc(clicksim.ConstantPredictor(gt.shape), feats(gt), gt, max_clicks)
+
+
+def test_noisy_flips_stay_out_of_click_disks():
+    gt = centered_square(16, 16, 8)
+    session = clicksim.ClickSession(*gt.shape)
+    session.add(clicksim.first_click(gt))
+    pred = clicksim.NoisyOraclePredictor(gt, 1.0, 3).predict(feats(gt), session)
+    disk = session.pos == 1.0
+    assert 1 < disk.sum() < gt.size
+    assert np.array_equal(pred[disk], gt[disk])
+    assert np.array_equal(pred[~disk], 1 - gt[~disk])
 
 
 def test_protocol_version_one_trace_pinned():
