@@ -6,8 +6,8 @@ Two map-level coefficients extend the focal/poly family:
   poorly learned samples, giving the effective exponent
   ``gamma_d = gamma + gamma_a``.
 * ``mu = N / sum_i (1-pt_i)^gamma_d * (1 + delta*gamma_d)`` rescales the loss
-  so its total gradient tracks the plain cross-entropy gradient, balancing
-  the "treat pixels equally" and "favor hard pixels" regimes.
+  so that the pixel mean of ``mu*(1-pt)^gamma_d*(1+delta*gamma_d)`` is 1
+  (``loss identity-check`` tests this as ``mu/mean_identity``).
 
 Final per-pixel form:  -mu*(1-pt)^gamma_d*log(pt) + alpha*(1-pt)^(gamma_d+1).
 
@@ -45,11 +45,10 @@ class AflParams:
     ada_enabled: bool = True
     agr_enabled: bool = True
 
-    def validate(self) -> "AflParams":
+    def __post_init__(self):
         _check_gamma(self.gamma)
         check_nonnegative("alpha", self.alpha)
         _check_delta(self.delta)
-        return self
 
 
 def _check_gamma_d(gamma_d: float) -> None:
@@ -67,7 +66,7 @@ class AflDiagnostics:
     gamma_a: float
     gamma_d: float
     mu: float
-    hard_count: int
+    hard_count: int  # the number of foreground pixels, not of hard ones
     foreground_pt_mean: float
 
 
@@ -110,9 +109,7 @@ def afl(pred, gt, params: AflParams = AflParams()) -> tuple[LossOutput, AflDiagn
 
 
 def afl_loss(params: AflParams = AflParams()) -> Loss:
-    """The adaptive focal loss as a :class:`~clicklab.losses.Loss`, with its
-    parameters checked once."""
-    params.validate()
+    """The adaptive focal loss as a :class:`~clicklab.losses.Loss`."""
     return Loss(partial(_afl_step, params=params))
 
 

@@ -80,7 +80,7 @@ def _analytic_and_frozen(name: str, pred, gt, params):
     _, analytic, diag = losses.make_loss(name, **params).bind(target)(pred)
     yf = target.yf
     weighted = name in ("wbce", "balanced_ce")  # frozen class weights as mu
-    mu = losses._ce_weights(name, diag["beta"], target)[1] if weighted else diag.get("mu", 1.0)
+    mu = losses._ce_weights(name, diag["beta"], target) if weighted else diag.get("mu", 1.0)
 
     def values(stack):
         p = as_prob_stack(stack, yf.shape)

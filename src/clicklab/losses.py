@@ -149,28 +149,34 @@ def _ratio_step(target: Target, kernel):
     return step
 
 
-def _weighted_ce_step(target: Target, kind: str, beta):
-    """wbce and balanced_ce: bce's step with the per-pixel class weights as mu."""
-    beta, weights = _ce_weights(kind, beta, target)
-    return _powlog_step(target, 0.0, 0.0, mu=weights, diagnostics={"beta": beta})
-
-
-def _ce_weights(kind: str, beta, target: Target) -> tuple[float, np.ndarray]:
-    """beta of 'wbce', else of 'balanced_ce', against ``target``, and the
-    per-pixel class weights: beta on the foreground, 1 or 1 - beta elsewhere."""
+def _check_beta(kind: str, beta):
+    """An explicit beta of 'wbce' (finite, > 0; None asks for the auto-beta)
+    or of 'balanced_ce' (in (0, 1)), as a float."""
     if kind == "wbce":
-        if beta is None:
-            positives = int(np.count_nonzero(target.mask))
-            if positives in (0, target.mask.size):
-                raise ParameterError(f"wbce auto-beta needs both classes, got {positives} of "
-                                     f"{target.mask.size} gt pixels in the foreground")
-            beta = (target.mask.size - positives) / positives
-        elif not (math.isfinite(beta) and beta > 0.0):
+        if beta is not None and not (math.isfinite(beta) and beta > 0.0):
             raise ParameterError(f"wbce beta must be finite and > 0, got {beta}")
-        return float(beta), np.where(target.fg, float(beta), 1.0)
-    if beta is None or not (0.0 < beta < 1.0):
+    elif beta is None or not (0.0 < beta < 1.0):
         raise ParameterError(f"balanced_ce needs beta in (0, 1), got {beta}")
-    return float(beta), np.where(target.fg, float(beta), 1.0 - float(beta))
+    return None if beta is None else float(beta)
+
+
+def _weighted_ce_step(target: Target, kind: str, beta):
+    """wbce and balanced_ce: bce's step with the per-pixel class weights as mu.
+    ``beta`` was checked; wbce's auto-beta (None) is fixed against ``target``."""
+    if beta is None:
+        positives = int(np.count_nonzero(target.mask))
+        if positives in (0, target.mask.size):
+            raise ParameterError(f"wbce auto-beta needs both classes, got {positives} of "
+                                 f"{target.mask.size} gt pixels in the foreground")
+        beta = (target.mask.size - positives) / positives
+    return _powlog_step(target, 0.0, 0.0, mu=_ce_weights(kind, beta, target),
+                        diagnostics={"beta": beta})
+
+
+def _ce_weights(kind: str, beta: float, target: Target) -> np.ndarray:
+    """The per-pixel class weights of 'wbce', else of 'balanced_ce', against
+    ``target``: beta on the foreground, 1 or 1 - beta elsewhere."""
+    return np.where(target.fg, beta, 1.0 if kind == "wbce" else 1.0 - beta)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +344,9 @@ _LOSS_PARAMS = {
 
 def make_loss(name: str, **params) -> Loss:
     """Build the :class:`Loss` named by a key of ``_LOSS_PARAMS`` ('bce',
-    'focal', ..., 'afl'), checking its parameters.  Keyword arguments the
-    loss does not take are rejected."""
+    'focal', ..., 'afl'), checking every parameter given.  Keyword arguments
+    the loss does not take are rejected.  Only wbce's auto-beta, which
+    depends on the ground truth, is checked when the loss is bound."""
     name = name.lower()
     if name not in _LOSS_PARAMS:
         raise ParameterError(f"unknown loss {name!r}")
@@ -356,7 +363,7 @@ def make_loss(name: str, **params) -> Loss:
     if name == "soft_iou":
         return Loss(partial(_ratio_step, kernel=_soft_iou_kernel))
     if name in ("wbce", "balanced_ce"):
-        return Loss(partial(_weighted_ce_step, kind=name, beta=kw["beta"]))
+        return Loss(partial(_weighted_ce_step, kind=name, beta=_check_beta(name, kw["beta"])))
     gamma = _check_gamma(kw.get("gamma", 0.0))
     alpha = float(check_nonnegative("alpha", kw.get("alpha", 0.0)))
     return Loss(partial(_powlog_step, gamma=gamma, alpha=alpha, normalized=name == "nfl"))

@@ -75,10 +75,9 @@ class LossWeights:
     lambda_dice: float = 5.0
     unclick_weight: float = 0.1
 
-    def validate(self) -> "LossWeights":
+    def __post_init__(self):
         for name in ("lambda_mask", "lambda_cli", "lambda_afl", "lambda_dice", "unclick_weight"):
             check_nonnegative(name, getattr(self, name))
-        return self
 
 
 @dataclass
@@ -99,15 +98,13 @@ def pair_cost(pred: InstancePrediction, gt: GroundTruthInstance,
               weights: LossWeights = LossWeights(),
               afl_params: adaptive.AflParams = adaptive.AflParams()) -> float:
     """Matching cost of one (prediction, ground truth) pair."""
-    weights.validate()
-    afl_params.validate()
     return float(_cost_matrix([pred], [gt], weights, afl_params)[0, 0])
 
 
 def _cost_matrix(preds: list, gts: list, weights: LossWeights,
                  afl_params: adaptive.AflParams) -> np.ndarray:
-    """N x M pair costs.  The dataclasses validated every map and the caller
-    the parameters, so only shapes are checked here.
+    """N x M pair costs.  The dataclasses checked every map and parameter
+    when they were built, so only shapes are checked here.
 
     pt, the AFL coefficients, the AFL values and dice are computed over a
     (k, M, h, w) block of k prediction rows at a time.  The coefficients come
@@ -247,8 +244,6 @@ def total_loss(preds: list, gts: list,
     """
     if not preds:
         raise ParameterError("total_loss needs at least one prediction")
-    weights.validate()
-    afl_params.validate()
 
     if gts:
         cost = _cost_matrix(preds, gts, weights, afl_params)

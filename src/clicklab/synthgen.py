@@ -39,7 +39,7 @@ class SynthSpec:
     nesting: bool = False
     seed: int = 0
 
-    def validate(self) -> "SynthSpec":
+    def __post_init__(self):
         if self.height < 16 or self.width < 16:
             raise ParameterError("canvas must be at least 16x16")
         if self.n_instances < 1:
@@ -50,7 +50,6 @@ class SynthSpec:
             raise ParameterError(f"boundary_noise must be finite and >= 0, got {self.boundary_noise}")
         if self.nesting and self.n_instances < 2:
             raise ParameterError("nesting requires n_instances >= 2")
-        return self
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -68,7 +67,7 @@ class SynthSpec:
             if (not isinstance(value, _JSON_TYPES[kinds[name]])
                     or isinstance(value, bool) != (kinds[name] == "bool")):
                 raise ParameterError(f"spec field {name!r} must be {kinds[name]}, got {value!r}")
-        return cls(**obj).validate()
+        return cls(**obj)
 
 
 @dataclass
@@ -78,9 +77,9 @@ class SynthSample:
     spec: SynthSpec
 
 
-def _raster_shape(h, w, kind, center, radius, rng, boundary_noise):
-    """Rasterize one shape; jitter perturbs the boundary radius by angle."""
-    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
+def _raster_shape(rows, cols, kind, center, radius, rng, boundary_noise):
+    """Rasterize one shape on the canvas's pixel coordinates ``rows, cols``;
+    jitter perturbs the boundary radius by angle."""
     dy = rows - center[0]
     dx = cols - center[1]
     theta = np.arctan2(dy, dx)
@@ -113,15 +112,15 @@ def _raster_shape(h, w, kind, center, radius, rng, boundary_noise):
 
 def generate(spec: SynthSpec) -> SynthSample:
     """Deterministic sample for the given spec; same seed, same sample."""
-    spec.validate()
     h, w = spec.height, spec.width
+    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
     rng = rng_stream(spec.seed, "synthgen/generate")
     short = min(h, w)
 
     masks: list[np.ndarray] = []
     for idx in range(spec.n_instances):
         if spec.nesting and idx == 1:
-            masks.append(_nested_inner(masks[0], spec, rng))
+            masks.append(_nested_inner(masks[0], rows, cols))
             continue
         placed = False
         for _ in range(MAX_PLACEMENT_TRIES):
@@ -130,7 +129,8 @@ def generate(spec: SynthSpec) -> SynthSample:
             if 2 * margin >= min(h, w):
                 continue
             center = (rng.uniform(margin, h - margin), rng.uniform(margin, w - margin))
-            mask = _raster_shape(h, w, spec.shape_kind, center, radius, rng, spec.boundary_noise)
+            mask = _raster_shape(rows, cols, spec.shape_kind, center, radius, rng,
+                                 spec.boundary_noise)
             if mask.sum() == 0 or any((mask & m).any() for m in masks):
                 continue
             masks.append(mask)
@@ -140,7 +140,6 @@ def generate(spec: SynthSpec) -> SynthSample:
             raise GenerationError(
                 f"could not place instance {idx} after {MAX_PLACEMENT_TRIES} tries")
 
-    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
     half_diag = np.hypot(h / 2.0, w / 2.0)
     dist = np.hypot(rows - (h - 1) / 2.0, cols - (w - 1) / 2.0) / half_diag
     intensity = sum(m.astype(np.float64) for m in masks) / spec.n_instances
@@ -153,9 +152,8 @@ def generate(spec: SynthSpec) -> SynthSample:
     return SynthSample(features, masks, spec)
 
 
-def _nested_inner(outer: np.ndarray, spec: SynthSpec, rng) -> np.ndarray:
+def _nested_inner(outer: np.ndarray, rows, cols) -> np.ndarray:
     """A disk strictly inside the outer mask, centered at its centroid."""
-    h, w = outer.shape
     ys, xs = np.nonzero(outer)
     cy, cx = float(ys.mean()), float(xs.mean())
     # radial clearance from the centroid to the nearest background pixel
@@ -164,7 +162,6 @@ def _nested_inner(outer: np.ndarray, spec: SynthSpec, rng) -> np.ndarray:
     radius = max(1.5, 0.45 * boundary_min)
     if radius >= boundary_min:
         radius = boundary_min - 1.0
-    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
     inner = (np.hypot(rows - cy, cols - cx) <= radius).astype(np.uint8)
     if inner.sum() == 0 or not (inner <= outer).all() or inner.sum() == outer.sum():
         raise GenerationError("nested inner shape does not fit strictly inside the outer shape")

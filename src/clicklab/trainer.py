@@ -7,11 +7,12 @@ clicks are fixed up front (one positive at the foreground interior point,
 one negative at the background interior point), which keeps every run a
 deterministic function of (sample, config).
 
-``train`` validates the config, the loss parameters and the ground truth
-once and binds the loss to the ground truth.  Each step runs trusted
-kernels, with one finiteness check each of the probabilities, the loss and
-the updated parameters; a failed check is divergence at that step.  The
-model and log equal those of a loop of validated loss calls bit for bit.
+``train`` builds the loss, whose parameters ``make_loss`` checks, validates
+the ground truth once and binds the loss to it; the config was checked when
+it was built.  Each step runs trusted kernels, with one finiteness check
+each of the probabilities, the loss and the updated parameters; a failed
+check is divergence at that step.  The model and log equal those of a loop
+of validated loss calls bit for bit.
 """
 
 from __future__ import annotations
@@ -67,14 +68,13 @@ class TrainConfig:
     optimizer: str = "adam"
     instance_index: int = 0
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
         # 0 is allowed: a no-op run is the cheapest determinism probe
         check_nonnegative("learning_rate", self.learning_rate)
         if self.optimizer not in ("sgd", "adam"):
             raise ParameterError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        return self
 
 
 def training_channels(sample: SynthSample, gt: np.ndarray) -> np.ndarray:
@@ -94,7 +94,6 @@ def train(sample: SynthSample, config: TrainConfig = TrainConfig()):
     first logged diagnostics are known in closed form.  The log has one row
     per step, evaluated before that step's update.
     """
-    config.validate()
     if not (0 <= config.instance_index < len(sample.gt_instances)):
         raise ParameterError(f"instance_index {config.instance_index} out of range")
     gt = sample.gt_instances[config.instance_index]
@@ -103,10 +102,8 @@ def train(sample: SynthSample, config: TrainConfig = TrainConfig()):
     loss_step = make_loss(config.loss, **config.loss_params).bind(target)
 
     c = channels.shape[-1]
-    # the operands np.tensordot builds: the logits use the contiguous
-    # (h*w, c) view, the weight gradient the strided (c, h*w) view (a
-    # contiguous copy of it changes BLAS's summation order)
-    pixels = channels.reshape(-1, c)
+    # the weight gradient's operand is the strided (c, h*w) view np.tensordot
+    # builds (a contiguous copy of it changes BLAS's summation order)
     by_channel = channels.transpose(2, 0, 1).reshape(c, -1)
     theta = np.zeros(c + 1)
     m = np.zeros(c + 1)
@@ -116,9 +113,7 @@ def train(sample: SynthSample, config: TrainConfig = TrainConfig()):
 
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked explicitly
         for step in range(1, config.steps + 1):
-            probs = np.dot(pixels, theta[:-1].reshape(c, 1)).reshape(gt.shape)
-            probs += theta[-1]
-            expit(probs, out=probs)
+            probs = PixelModel(theta[:-1], theta[-1]).predict_probs(channels)
             if not np.isfinite(probs).all():
                 raise TrainingError(f"training diverged at step {step}: non-finite probabilities")
             value, g_z, diag = loss_step(probs)

@@ -132,7 +132,6 @@ def reference_afl_value(pred, gt, gamma_d: float, mu_val: float, alpha: float) -
 def reference_afl_step(pred, gt, params):
     """``(value, grad_wrt_prob, diagnostics)`` of the AFL step on one
     validated pair, with ``pt[fg].mean()`` and Python-float exponents."""
-    params.validate()
     y = as_binary_mask(gt)
     pt = pt_map(pred, y)
     fg = y == 1
@@ -294,8 +293,6 @@ def reference_camd_forward(scales, pixel_embed, params, blocks, collect=None):
 # ---------------------------------------------------------------------------
 
 def _reference_pair_cost(pred, gt, weights, afl_params):
-    weights.validate()
-    afl_params.validate()
     p = pred.mask_probs
     y = as_binary_mask(gt.mask)
     pt = pt_map(p, y)
@@ -405,7 +402,6 @@ def reference_train(sample, config):
     re-validates the probability map and the ground truth, builds the
     logits and the weight gradient with ``np.tensordot`` and the IoU with
     ``binarize`` and ``iou``."""
-    config.validate()
     if not (0 <= config.instance_index < len(sample.gt_instances)):
         raise ParameterError(f"instance_index {config.instance_index} out of range")
     gt = sample.gt_instances[config.instance_index]

@@ -173,14 +173,14 @@ def test_afl_diagnostics_in_loss_output():
 
 def test_afl_params_validation():
     with pytest.raises(ParameterError):
-        adaptive.AflParams(gamma=6.0).validate()
+        adaptive.AflParams(gamma=6.0)
     with pytest.raises(ParameterError):
-        adaptive.AflParams(delta=1.2).validate()
+        adaptive.AflParams(delta=1.2)
     with pytest.raises(ParameterError):
-        adaptive.AflParams(alpha=-0.1).validate()
+        adaptive.AflParams(alpha=-0.1)
     for alpha in (float("nan"), float("inf")):
         with pytest.raises(ParameterError):
-            adaptive.AflParams(alpha=alpha).validate()
+            adaptive.AflParams(alpha=alpha)
 
 
 def test_bound_afl_step_equals_float_oracle_bit_for_bit():

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -486,13 +487,18 @@ def test_readme_cli_examples_parse():
         assert args.handler.__name__.startswith("cmd_"), line
 
 
-def test_benchmark_cli_commands_parse(tmp_path):
-    # the benchmark drives the CLI with these argv; a flag it passes must stay
+def _perfbench_workloads():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(root, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_cli_commands_parse(tmp_path):
+    # the benchmark drives the CLI with these argv; a flag it passes must stay
+    workloads = _perfbench_workloads()
     built = [cls(None, 1, False, str(tmp_path / cls.name), workloads.Gate(), [1])
              for cls in (workloads.NocNoisy, workloads.PipelineTrained, workloads.VerifySuite)]
     argvs = [built[0].argv] + [argv for w in built[1:] for _, argv, *_ in w.commands]
@@ -501,6 +507,20 @@ def test_benchmark_cli_commands_parse(tmp_path):
     for argv in argvs:
         args = parser.parse_args(argv)  # an unknown flag exits 2
         assert args.handler.__name__.startswith("cmd_"), argv
+
+
+def test_benchmark_decode_match_runs_on_library_calls(tmp_path):
+    # decode_match calls synthgen, clicksim, attention and matching directly;
+    # a changed signature or check there fails its pass
+    workloads = _perfbench_workloads()
+    mods = types.SimpleNamespace(**{name: importlib.import_module(f"clicklab.{name}") for name in (
+        "attention", "clicksim", "core", "matching", "synthgen")})
+    seeds, _ = workloads.draw_data_seeds(mods, "decode_match", 1, True)
+    gate = workloads.Gate()
+    workload = workloads.DecodeMatch(mods, 1, True, str(tmp_path), gate, seeds)
+    result = workload.run_pass(reference=True)
+    assert result.ops == len(seeds) and gate.attempted > result.ops
+    assert gate.failed == 0
 
 
 def test_report_reproducible_for_same_seed(capsys):

@@ -173,7 +173,11 @@ def test_wbce_beta_one_equals_bce():
 
 
 def test_wbce_auto_beta_requires_foreground():
+    # the auto-beta depends on the ground truth, so binding checks it
+    loss = losses.make_loss("wbce")
     for gt in (np.zeros((2, 2), dtype=np.uint8), np.ones((2, 2), dtype=np.uint8)):
+        with pytest.raises(ParameterError, match="auto-beta"):
+            loss.bind(losses.Target(gt))
         with pytest.raises(ParameterError):
             losses.aux_loss("wbce", np.full((2, 2), 0.5), gt)
 
@@ -204,6 +208,14 @@ def test_soft_iou_exact_match_is_zero():
 def test_balanced_ce_requires_unit_interval_beta():
     with pytest.raises(ParameterError):
         losses.aux_loss("balanced_ce", np.full((3, 3), 0.5), _k_ones(2), beta=1.5)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("balanced_ce", {"beta": 1.5}), ("balanced_ce", {}), ("wbce", {"beta": -1.0}),
+], ids=["balanced_ce_beta_above_one", "balanced_ce_no_beta", "wbce_negative_beta"])
+def test_make_loss_checks_beta_when_built(name, params):
+    with pytest.raises(ParameterError, match="beta"):
+        losses.make_loss(name, **params)
 
 
 # ---------------------------------------------------------------------------

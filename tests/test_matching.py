@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 import scipy.optimize
 
-from clicklab import adaptive, attention, clicksim, matching, synthgen
+from clicklab import adaptive, attention, clicksim, matching, synthgen, trainer
 from clicklab.core import DimensionError, ParameterError, rng_stream
 from oracles import (bits, brute_force_lex_min_assignment, brute_force_min_cost,
                      reference_cost_matrix, reference_hungarian)
@@ -299,26 +300,19 @@ def test_total_loss_requires_predictions():
         matching.total_loss([], [])
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"afl_params": adaptive.AflParams(gamma=9.0)},
-    {"weights": matching.LossWeights(unclick_weight=float("nan"))},
-    {"weights": matching.LossWeights(lambda_cli=float("inf"))},
-], ids=["gamma_nine", "unclick_nan", "lambda_cli_inf"])
-def test_total_loss_without_ground_truth_validates_parameters(kwargs):
-    pred = matching.InstancePrediction(square_mask().astype(float), np.array([0.5, 0.5]))
+@pytest.mark.parametrize("build", ["direct", "replace"])
+@pytest.mark.parametrize("cls, kwargs", [
+    (adaptive.AflParams, {"gamma": 9.0}),
+    (matching.LossWeights, {"unclick_weight": float("nan")}),
+    (matching.LossWeights, {"lambda_cli": float("inf")}),
+    (trainer.TrainConfig, {"steps": 0}),
+    (synthgen.SynthSpec, {"nesting": True}),
+], ids=["afl_gamma_nine", "unclick_nan", "lambda_cli_inf", "train_steps_zero", "synth_nesting_one"])
+def test_invalid_parameter_object_cannot_be_built(cls, kwargs, build):
+    # every parameter object checks itself when it is built, so no function
+    # that receives one re-checks it
     with pytest.raises(ParameterError):
-        matching.total_loss([pred], [], **kwargs)
-
-
-def test_total_loss_validates_parameters_once(monkeypatch):
-    calls = []
-    for cls in (matching.LossWeights, adaptive.AflParams):
-        real = cls.validate
-        monkeypatch.setattr(cls, "validate",
-                            lambda self, real=real: calls.append(type(self)) or real(self))
-    gt = square_mask()
-    matching.total_loss([perfect_pred(gt)] * 2, [matching.GroundTruthInstance(gt, OBJECT)])
-    assert sorted(c.__name__ for c in calls) == ["AflParams", "LossWeights"]
+        cls(**kwargs) if build == "direct" else dataclasses.replace(cls(), **kwargs)
 
 
 def test_instance_validation():

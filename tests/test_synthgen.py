@@ -45,7 +45,7 @@ def test_nested_strict_containment():
 
 def test_nesting_requires_two_instances():
     with pytest.raises(ParameterError):
-        synthgen.SynthSpec(64, 64, 1, "disk", 0.0, True, seed=0).validate()
+        synthgen.SynthSpec(64, 64, 1, "disk", 0.0, True, seed=0)
 
 
 def test_infeasible_spec_raises_generation_error():

@@ -24,14 +24,14 @@ def test_logit_chain_examples():
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        trainer.TrainConfig(steps=0).validate()
+        trainer.TrainConfig(steps=0)
     with pytest.raises(ParameterError):
-        trainer.TrainConfig(learning_rate=-0.1).validate()
+        trainer.TrainConfig(learning_rate=-0.1)
     with pytest.raises(ParameterError):
-        trainer.TrainConfig(optimizer="adamw").validate()
+        trainer.TrainConfig(optimizer="adamw")
     for lr in (float("nan"), float("inf")):
         with pytest.raises(ParameterError):
-            trainer.TrainConfig(learning_rate=lr).validate()
+            trainer.TrainConfig(learning_rate=lr)
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
