@@ -14,8 +14,8 @@ Protocol version 1, pinned so traces stay comparable across builds:
 * simulation stops at the highest threshold or after 20 clicks (a run may
   lower this cap); a threshold never reached scores the cap, flagged failed.
 
-Placing a click costs O(H·W) however many error components there are: one
-labelling pass per polarity ranks them all, and only the winner's bounding
+Placing a click labels both error polarities in one call; the sizes, the
+winner and its bounding box come from the error pixels alone, and only that
 box reaches the distance transform.  ``run_noc`` owns one :class:`ClickSession`
 per sample, the clicks and their disk maps; each disk is drawn once, in its
 window, when its click is added.  Every predictor implements
@@ -46,7 +46,8 @@ DEFAULT_MAX_CLICKS = 20
 DEFAULT_THRESHOLDS = (0.85, 0.90)
 DEFAULT_CLICK_RADIUS = 5.0
 
-_FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
+_WITHIN_PLANE = np.pad(ndimage.generate_binary_structure(2, 1)[None], ((1, 1), (0, 0), (0, 0)))
+_CHESSBOARD = ndimage.generate_binary_structure(2, 2)
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,9 @@ def interior_point(mask: np.ndarray) -> tuple[int, int]:
     m = as_binary_mask(mask)
     if not m.any():
         raise ParameterError("interior_point needs a nonempty mask")
-    padded = np.pad(m, 1)
-    dist = ndimage.distance_transform_cdt(padded, metric="chessboard")[1:-1, 1:-1]
+    padded = np.zeros((m.shape[0] + 2, m.shape[1] + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = m
+    dist = ndimage.distance_transform_cdt(padded, metric=_CHESSBOARD)[1:-1, 1:-1]
     # argmax returns the first maximum in row-major order: the smallest (row, col)
     r, c = np.unravel_index(dist.argmax(), dist.shape)
     return int(r), int(c)
@@ -117,26 +119,22 @@ def next_click(pred, gt, prior=()) -> ClickRecord:
     p = as_binary_mask(pred)
     y = as_binary_mask(gt)
     check_same_shape(p, y)
-    fn = (y == 1) & (p == 0)
-    fp = (p == 1) & (y == 0)
-    if not fn.any() and not fp.any():
+    err = np.stack((y > p, p > y))  # false-negative plane, false-positive plane
+    pixels = np.flatnonzero(err)
+    if pixels.size == 0:
         raise PerfectPredictionError("prediction equals ground truth; no click needed")
 
-    top = 0
-    for is_fn, err in ((True, fn), (False, fp)):
-        comp_labels, _ = ndimage.label(err, structure=_FOUR_CONNECTED)
-        comp_sizes = np.bincount(comp_labels.ravel())
-        comp_sizes[0] = 0
-        if comp_sizes.max() > top:  # strict: FN, scanned first, wins equal sizes
-            top, positive, labels, sizes = comp_sizes.max(), is_fn, comp_labels, comp_sizes
-    # of the largest components the protocol picks the one with the smallest
-    # first row-major pixel, which is the first pixel lying in any of them
-    lbl = labels.flat[np.argmax(sizes[labels] == top)]
-    # outside its bounding box the component is 0, so the crop (padded with
-    # zeros by interior_point) keeps every distance unchanged
-    rows, cols = ndimage.find_objects(labels, max_label=lbl)[lbl - 1]
-    r, c = interior_point((labels[rows, cols] == lbl).astype(np.uint8))
-    return ClickRecord(r + rows.start, c + cols.start, positive=positive, index=len(prior) + 1)
+    labels = ndimage.label(err, structure=_WITHIN_PLANE)[0].ravel()[pixels]  # per error pixel
+    sizes = np.bincount(labels)
+    # scipy numbers components in raster order of their first pixels, FN plane
+    # first, so argmax (the first largest) breaks ties as protocol 1 does
+    plane, rows, cols = np.unravel_index(pixels[labels == sizes.argmax()], err.shape)
+    r0, c0 = rows.min(), cols.min()
+    # interior_point pads the winner's bounding box with zeros: distances stay as on the full image
+    crop = np.zeros((rows.max() - r0 + 1, cols.max() - c0 + 1), dtype=np.uint8)
+    crop[rows - r0, cols - c0] = 1
+    r, c = interior_point(crop)
+    return ClickRecord(int(r + r0), int(c + c0), positive=not plane[0], index=len(prior) + 1)
 
 
 class ClickSession:

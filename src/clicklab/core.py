@@ -88,6 +88,13 @@ def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionError(f"field shapes differ: {a.shape} vs {b.shape}")
 
 
+def check_integers(owner, *names: str) -> None:
+    for name in names:
+        value = getattr(owner, name)  # an integer as operator.index takes it, but not a bool
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def check_nonnegative(name: str, value: float) -> float:
     """A finite number >= 0; NaN and the infinities are rejected."""
     if not (math.isfinite(value) and value >= 0.0):

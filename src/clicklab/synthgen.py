@@ -13,6 +13,10 @@ With ``boundary_noise=0`` the intensity channel is an exact indicator, so a
 linear pixel model can separate the shape by construction.  ``nesting``
 places the second instance strictly inside the first, the ambiguous case a
 multi-mask matcher has to disambiguate.
+
+Each placement try is rasterized only in the square window that can hold
+its shape, of half-side 1 + radius + √2·noise (|jitter| <= √2·noise), with
+1.6·radius for a blob (wobble <= 0.6·radius) and 2√2·noise for an ellipse.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GenerationError, ParameterError, rng_stream
+from .core import GenerationError, ParameterError, check_integers, rng_stream
 
 SHAPE_KINDS = ("disk", "ellipse", "blob")
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}  # by field annotation
@@ -40,6 +44,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, "height", "width", "n_instances", "seed")
         if self.height < 16 or self.width < 16:
             raise ParameterError("canvas must be at least 16x16")
         if self.n_instances < 1:
@@ -78,10 +83,13 @@ class SynthSample:
 
 
 def _raster_shape(rows, cols, kind, center, radius, rng, boundary_noise):
-    """Rasterize one shape on the canvas's pixel coordinates ``rows, cols``;
-    jitter perturbs the boundary radius by angle."""
-    dy = rows - center[0]
-    dx = cols - center[1]
+    """Rasterize one shape on the canvas's pixel coordinates ``rows, cols``, only in
+    its window (see the module notes); jitter perturbs the boundary radius by angle."""
+    reach = ((1.6 if kind == "blob" else 1.0) * radius + 1.0
+             + (2.0 if kind == "ellipse" else 1.0) * np.sqrt(2.0) * boundary_noise)
+    window = tuple(slice(max(int(c - reach), 0), int(c + reach) + 1) for c in center)
+    dy = rows[window] - center[0]
+    dx = cols[window] - center[1]
     theta = np.arctan2(dy, dx)
 
     jitter = np.zeros_like(theta)
@@ -91,23 +99,23 @@ def _raster_shape(rows, cols, kind, center, radius, rng, boundary_noise):
             jitter += a * np.cos(k * theta) + b * np.sin(k * theta)
         jitter *= boundary_noise / 3.0
 
+    mask = np.zeros(rows.shape, dtype=np.uint8)
     if kind == "disk":
-        dist = np.hypot(dy, dx)
-        return (dist <= radius + jitter).astype(np.uint8)
-    if kind == "ellipse":
+        mask[window] = np.hypot(dy, dx) <= radius + jitter
+    elif kind == "ellipse":
         ratio = rng.uniform(0.5, 0.9)
         phi = rng.uniform(0.0, np.pi)
         a_ax, b_ax = radius, radius * ratio
         xr = dx * np.cos(phi) + dy * np.sin(phi)
         yr = -dx * np.sin(phi) + dy * np.cos(phi)
         rho = np.sqrt((xr / a_ax) ** 2 + (yr / b_ax) ** 2)
-        return (rho <= 1.0 + jitter / b_ax).astype(np.uint8)
-    # blob: disk with low-order harmonic wobble on top of the jitter
-    amp = rng.uniform(0.05, 0.2, size=3)
-    phase = rng.uniform(0.0, 2 * np.pi, size=3)
-    wobble = sum(amp[k] * np.cos((k + 2) * theta + phase[k]) for k in range(3))
-    dist = np.hypot(dy, dx)
-    return (dist <= radius * (1.0 + wobble) + jitter).astype(np.uint8)
+        mask[window] = rho <= 1.0 + jitter / b_ax
+    else:  # blob: disk with low-order harmonic wobble on top of the jitter
+        amp = rng.uniform(0.05, 0.2, size=3)
+        phase = rng.uniform(0.0, 2 * np.pi, size=3)
+        wobble = sum(amp[k] * np.cos((k + 2) * theta + phase[k]) for k in range(3))
+        mask[window] = np.hypot(dy, dx) <= radius * (1.0 + wobble) + jitter
+    return mask
 
 
 def generate(spec: SynthSpec) -> SynthSample:

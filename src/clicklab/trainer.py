@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from .clicksim import ClickRecord, ClickSession, first_click, interior_point
-from .core import ParameterError, TrainingError, check_nonnegative
+from .core import ParameterError, TrainingError, check_integers, check_nonnegative
 from .losses import Target, make_loss
 from .synthgen import SynthSample
 
@@ -69,12 +69,14 @@ class TrainConfig:
     instance_index: int = 0
 
     def __post_init__(self):
+        check_integers(self, "steps", "instance_index")
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
         # 0 is allowed: a no-op run is the cheapest determinism probe
         check_nonnegative("learning_rate", self.learning_rate)
         if self.optimizer not in ("sgd", "adam"):
             raise ParameterError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        make_loss(self.loss, **self.loss_params)  # checks the loss name and parameters
 
 
 def training_channels(sample: SynthSample, gt: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ Everything here is deliberately brute force: exhaustive enumeration for
 assignment problems, one forced-edge re-solve per candidate pair for the
 lex-min assignment, value-only central differences for gradients (one
 pixel and one validated loss call at a time), one full-image pass per error
-component or click disk for click placement and click encoding, one query
-at a time through the decoder, and one fully validated loss evaluation per
-matching pair, and one validated loss call per training step.
+component or click disk for click placement and click encoding, one
+full-canvas grid per synthetic shape, one query at a time through the
+decoder, and one fully validated loss evaluation per matching pair, and one
+validated loss call per training step.
 """
 
 from __future__ import annotations
@@ -213,6 +214,38 @@ def reference_encode_clicks(clicks, h: int, w: int, radius: float):
         else:
             neg[disk] = 1.0
     return pos, neg
+
+
+def reference_raster(rows, cols, kind, center, radius, rng, boundary_noise):
+    """``synthgen._raster_shape`` evaluated on every pixel of the canvas grid
+    ``rows, cols``, with no window; it draws the same numbers from ``rng``."""
+    dy = rows - center[0]
+    dx = cols - center[1]
+    theta = np.arctan2(dy, dx)
+
+    jitter = np.zeros_like(theta)
+    if boundary_noise > 0.0:
+        for k in (1, 2, 3):
+            a, b = rng.uniform(-1.0, 1.0, size=2)
+            jitter += a * np.cos(k * theta) + b * np.sin(k * theta)
+        jitter *= boundary_noise / 3.0
+
+    if kind == "disk":
+        dist = np.hypot(dy, dx)
+        return (dist <= radius + jitter).astype(np.uint8)
+    if kind == "ellipse":
+        ratio = rng.uniform(0.5, 0.9)
+        phi = rng.uniform(0.0, np.pi)
+        a_ax, b_ax = radius, radius * ratio
+        xr = dx * np.cos(phi) + dy * np.sin(phi)
+        yr = -dx * np.sin(phi) + dy * np.cos(phi)
+        rho = np.sqrt((xr / a_ax) ** 2 + (yr / b_ax) ** 2)
+        return (rho <= 1.0 + jitter / b_ax).astype(np.uint8)
+    amp = rng.uniform(0.05, 0.2, size=3)
+    phase = rng.uniform(0.0, 2 * np.pi, size=3)
+    wobble = sum(amp[k] * np.cos((k + 2) * theta + phase[k]) for k in range(3))
+    dist = np.hypot(dy, dx)
+    return (dist <= radius * (1.0 + wobble) + jitter).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from clicklab import clicksim, synthgen
 from clicklab.core import DimensionError, ParameterError, PerfectPredictionError, rng_stream
@@ -221,6 +222,24 @@ def test_next_click_matches_full_image_reference():
                         reference_next_click(pred, gt, prior), (size, rate, kind)
                     cases += 1
     assert cases >= 100
+
+    # tiny maps of random density: size ties between FN and FP components and
+    # among components of one polarity are common, and scipy's label order
+    # must break every one of them as the reference does
+    tiny = ties_across = ties_within = 0
+    while tiny < 5000:
+        h, w = (int(n) for n in rng.integers(1, 12, size=2))
+        gt = (rng.random((h, w)) < rng.random()).astype(np.uint8)
+        pred = np.where(rng.random(gt.shape) < rng.random(), 1 - gt, gt).astype(np.uint8)
+        if (pred == gt).all():
+            continue
+        sizes = [np.bincount(ndimage.label(err)[0].ravel())[1:] for err in (gt > pred, pred > gt)]
+        top = max(s.max(initial=0) for s in sizes)
+        ties_across += all(s.max(initial=0) == top for s in sizes)
+        ties_within += any((s == top).sum() > 1 for s in sizes)
+        assert clicksim.next_click(pred, gt) == reference_next_click(pred, gt), (gt, pred)
+        tiny += 1
+    assert ties_across >= 500 and ties_within >= 500, (ties_across, ties_within)
 
 
 def test_next_click_perfect_prediction_signals():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from clicklab import synthgen
-from clicklab.core import GenerationError, ParameterError
+from clicklab.core import GenerationError, ParameterError, rng_stream
+from oracles import bits, reference_raster
 
 
 def test_same_seed_identical_samples():
@@ -74,3 +75,64 @@ def test_spec_json_roundtrip():
     assert synthgen.SynthSpec.from_json(spec.to_json()) == spec
     with pytest.raises(ParameterError):
         synthgen.SynthSpec.from_json({"bogus": 1})
+
+
+def test_spec_takes_numpy_integers():
+    spec = synthgen.SynthSpec(np.int64(32), np.int32(40), np.uint8(2), seed=np.uint64(3))
+    want = synthgen.generate(synthgen.SynthSpec(32, 40, 2, seed=3))
+    assert bits(synthgen.generate(spec).feature_map) == bits(want.feature_map)
+
+
+def _twin(rng):
+    """A generator that draws what ``rng`` draws next."""
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def _check_raster(rows, cols, kind, center, radius, rng, noise, raster=synthgen._raster_shape):
+    """The windowed raster, asserted equal to the full-canvas reference, which
+    also draws the same numbers."""
+    twin = _twin(rng)
+    mask = raster(rows, cols, kind, center, radius, rng, noise)
+    assert bits(mask) == bits(reference_raster(rows, cols, kind, center, radius, twin, noise))
+    ours, ref = rng.bit_generator.state, twin.bit_generator.state
+    assert ours["buffer_pos"] == ref["buffer_pos"]
+    np.testing.assert_array_equal(ours["state"]["counter"], ref["state"]["counter"])
+    return mask
+
+
+@pytest.mark.parametrize("noise", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("kind", synthgen.SHAPE_KINDS)
+def test_generate_masks_equal_full_canvas_reference(kind, noise, monkeypatch):
+    checked = []
+
+    def raster(*args):  # every placement try, kept or rejected, is checked
+        checked.append(_check_raster(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(synthgen, "_raster_shape", raster)
+    for seed in range(50):
+        h, w = ((64, 64), (56, 72), (72, 56))[seed % 3]
+        sample = synthgen.generate(synthgen.SynthSpec(h, w, 1 + seed % 2, kind, noise, seed=seed))
+        assert all(any(m is c for c in checked) for m in sample.gt_instances)
+    assert len(checked) >= 100
+
+
+@pytest.mark.parametrize("noise", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("kind", synthgen.SHAPE_KINDS)
+def test_raster_window_clipped_at_canvas_edge_equals_reference(kind, noise):
+    # centres at generate's placement margin, and on the canvas corners, put
+    # the window past the canvas edge
+    h, w = 48, 40
+    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
+    on_edge = 0
+    for seed in range(50):
+        rng = rng_stream(seed, "test/raster_edge")
+        radius = rng.uniform(min(h, w) / 8.0, min(h, w) / 4.0)
+        margin = radius * 1.3 + noise + 2.0
+        for center in ((margin, margin), (h - margin, w - margin), (margin, w - margin),
+                       (0.0, 0.0), (h - 1.0, w - 1.0)):
+            mask = _check_raster(rows, cols, kind, center, radius, rng, noise)
+            on_edge += bool(mask[[0, -1]].any() or mask[:, [0, -1]].any())
+    assert on_edge >= 100, on_edge  # the corner centres alone give 100

@@ -32,6 +32,10 @@ def test_config_validation():
     for lr in (float("nan"), float("inf")):
         with pytest.raises(ParameterError):
             trainer.TrainConfig(learning_rate=lr)
+    # numpy integers are integers
+    _, logs = trainer.train(disk_sample(), trainer.TrainConfig(
+        loss="bce", steps=np.int64(2), instance_index=np.int32(0)))
+    assert len(logs) == 2
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
