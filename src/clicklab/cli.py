@@ -578,8 +578,11 @@ def main(argv=None) -> int:
     except (DimensionError, ParameterError, DomainError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        print(f"input error: {exc!r}", file=sys.stderr)
+    except (OSError, json.JSONDecodeError) as exc:  # a missing, unreadable or unwritable path
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:  # a JSON object without a required key
+        print(f"input error: missing key {exc}", file=sys.stderr)
         return 2
     except ClickLabError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -4,6 +4,14 @@ PGM (magic ``P2``, maxval 255) encodes foreground as 255 and background as 0.
 A PM file starts with ``PM <height> <width>`` followed by ``height`` lines of
 ``width`` space-separated decimal floats, row-major.
 
+``write_pm`` formats each distinct double (by bit pattern, so -0.0 stays
+apart from 0.0) with ``repr`` once and builds each row from those strings,
+``write_pgm`` looks each row up in a two-entry table, and ``read_pgm``
+parses each distinct token once, so their text work scales with the number
+of distinct values, not pixels.  ``read_pm`` converts each row in one numpy
+call that parses every token with ``float``.  The bytes written, and the
+values and errors read, are those of per-pixel ``repr``/``float``/``int``.
+
 Writes go through a temp file plus rename so readers never see partial output.
 """
 
@@ -45,12 +53,15 @@ def _parse_tokens(convert, tokens, where: str) -> list:
         raise ParameterError(f"{where}: {exc}") from None
 
 
+_PGM_TEXT = np.array(["0", "255"], dtype=object)  # indexed by the {0, 1} mask
+
+
 def write_pgm(path: str, mask) -> None:
     arr = as_binary_mask(mask)
     h, w = arr.shape
     lines = ["P2", f"{w} {h}", "255"]
     for row in arr:
-        lines.append(" ".join("255" if v else "0" for v in row))
+        lines.append(" ".join(_PGM_TEXT[row].tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -74,20 +85,31 @@ def read_pgm(path: str) -> np.ndarray:
     values = tokens[4:]
     if len(values) != h * w:
         raise ParameterError(f"{path}: expected {h * w} pixels, found {len(values)}")
-    arr = np.array(_parse_tokens(int, values, path), dtype=np.int64).reshape(h, w)
-    bad = ~np.isin(arr, (0, 255))
-    if bad.any():
-        raise ParameterError(f"{path}: pixels must be 0 or 255, found {arr[bad][:4]}")
-    return (arr == 255).astype(np.uint8)
+    # dict keys keep first-occurrence order, so the first bad token is the file's
+    distinct = dict.fromkeys(values)
+    parsed = dict(zip(distinct, _parse_tokens(int, distinct, path)))
+    if not set(parsed.values()) <= {0, 255}:
+        bad = [v for v in map(parsed.__getitem__, values) if v != 0 and v != 255][:4]
+        raise ParameterError(f"{path}: pixels must be 0 or 255, found {np.array(bad)}")
+    is_fg = {t: int(v == 255) for t, v in parsed.items()}
+    return np.fromiter(map(is_fg.__getitem__, values), np.uint8, count=h * w).reshape(h, w)
 
 
 def write_pm(path: str, prob) -> None:
-    arr = as_prob_map(prob)
+    atomic_write_text(path, _pm_text(as_prob_map(prob)))
+
+
+def _pm_text(arr: np.ndarray) -> str:
+    """The PM text of a validated map, with one ``repr`` per distinct value."""
     h, w = arr.shape
+    # distinct bit patterns, so -0.0 keeps its own text and is not written as 0.0
+    bit_values, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(repr, bit_values.view(np.float64).tolist())), dtype=object)
     lines = [f"PM {h} {w}"]
-    for row in arr:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    for row in inverse.reshape(h, w):
+        lines.append(" ".join(texts[row].tolist()))
+    lines.append("")  # the final newline, without one more copy of the text
+    return "\n".join(lines)
 
 
 def read_pm(path: str) -> np.ndarray:
@@ -98,12 +120,15 @@ def read_pm(path: str) -> np.ndarray:
         h, w = _parse_tokens(int, header[1:], path)
         rows = []
         for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             vals = line.split()
+            if not vals:
+                continue
             if len(vals) != w:
                 raise ParameterError(f"{path}:{line_no}: expected {w} values, found {len(vals)}")
-            rows.append(_parse_tokens(float, vals, f"{path}:{line_no}"))
+            try:  # numpy converts each str with float(), stopping at the first bad one
+                rows.append(np.array(vals, dtype=np.float64))
+            except ValueError as exc:
+                raise ParameterError(f"{path}:{line_no}: {exc}") from None
     if len(rows) != h:
         raise ParameterError(f"{path}: expected {h} rows, found {len(rows)}")
     return as_prob_map(np.array(rows, dtype=np.float64))

@@ -22,6 +22,7 @@ its shape, of half-side 1 + radius + √2·noise (|jitter| <= √2·noise), with
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,9 @@ class SynthSpec:
             raise ParameterError("nesting requires n_instances >= 2")
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields as JSON types; an integer field may hold a numpy integer."""
+        return {f.name: operator.index(getattr(self, f.name)) if f.type == "int"
+                else getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_json(cls, obj) -> "SynthSpec":

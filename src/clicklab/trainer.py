@@ -49,9 +49,14 @@ class PixelModel:
     def from_json(cls, obj) -> "PixelModel":
         if not isinstance(obj, dict):
             raise ParameterError(f"model must be a JSON object, got {type(obj).__name__}")
+        weights, bias = obj["weights"], obj["bias"]
+        # float() and numpy take a JSON true/false as 1.0/0.0
+        if isinstance(bias, bool) or (isinstance(weights, list)
+                                      and any(isinstance(v, bool) for v in weights)):
+            raise ParameterError("model weights and bias must be numbers, not true or false")
         try:
-            weights = np.asarray(obj["weights"], dtype=np.float64)
-            bias = float(obj["bias"])
+            weights = np.asarray(weights, dtype=np.float64)
+            bias = float(bias)
         except (TypeError, ValueError):
             raise ParameterError("model weights and bias must be numbers") from None
         if weights.ndim != 1 or not np.isfinite(weights).all() or not np.isfinite(bias):

@@ -6,8 +6,9 @@ lex-min assignment, value-only central differences for gradients (one
 pixel and one validated loss call at a time), one full-image pass per error
 component or click disk for click placement and click encoding, one
 full-canvas grid per synthetic shape, one query at a time through the
-decoder, and one fully validated loss evaluation per matching pair, and one
-validated loss call per training step.
+decoder, one fully validated loss evaluation per matching pair, one
+validated loss call per training step, and one ``repr``, ``float`` or
+``int`` call per pixel of a PM or PGM file.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from clicklab.core import (
     PerfectPredictionError,
     TrainingError,
     as_binary_mask,
+    as_prob_map,
     binarize,
     check_same_shape,
     iou,
@@ -477,3 +479,76 @@ def reference_train(sample, config):
             theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + trainer.ADAM_EPS)
 
     return trainer.PixelModel(theta[:-1], theta[-1]), logs
+
+
+# ---------------------------------------------------------------------------
+# PM and PGM files, one value at a time
+# ---------------------------------------------------------------------------
+
+def reference_pm_text(prob) -> str:
+    """The PM text of a probability map: ``repr`` of every pixel."""
+    arr = np.asarray(prob, dtype=np.float64)
+    lines = [f"PM {arr.shape[0]} {arr.shape[1]}"]
+    lines += [" ".join(repr(float(v)) for v in row) for row in arr]
+    return "\n".join(lines) + "\n"
+
+
+def reference_pgm_text(mask) -> str:
+    """The PGM text of a binary mask: one conditional per pixel."""
+    arr = np.asarray(mask)
+    lines = ["P2", f"{arr.shape[1]} {arr.shape[0]}", "255"]
+    lines += [" ".join("255" if v else "0" for v in row) for row in arr]
+    return "\n".join(lines) + "\n"
+
+
+def _convert_each(convert, tokens, where: str) -> list:
+    try:
+        return [convert(t) for t in tokens]
+    except ValueError as exc:
+        raise ParameterError(f"{where}: {exc}") from None
+
+
+def reference_read_pm(path: str) -> np.ndarray:
+    """``fileio.read_pm`` with one ``float`` call per token."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 3 or header[0] != "PM":
+            raise ParameterError(f"{path}: expected header 'PM <height> <width>'")
+        h, w = _convert_each(int, header[1:], path)
+        rows = []
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            vals = line.split()
+            if len(vals) != w:
+                raise ParameterError(f"{path}:{line_no}: expected {w} values, found {len(vals)}")
+            rows.append(_convert_each(float, vals, f"{path}:{line_no}"))
+    if len(rows) != h:
+        raise ParameterError(f"{path}: expected {h} rows, found {len(rows)}")
+    return as_prob_map(np.array(rows, dtype=np.float64))
+
+
+def reference_read_pgm(path: str) -> np.ndarray:
+    """``fileio.read_pgm`` with one ``int`` call per token (pixel values must
+    fit an int64)."""
+    with open(path) as fh:
+        tokens = []
+        for line in fh:
+            tokens.extend(line.split("#", 1)[0].split())
+    if not tokens or tokens[0] != "P2":
+        raise ParameterError(f"{path}: not an ASCII PGM (expected magic P2)")
+    if len(tokens) < 4:
+        raise ParameterError(f"{path}: truncated PGM header")
+    w, h, maxval = _convert_each(int, tokens[1:4], path)
+    if w < 1 or h < 1:
+        raise ParameterError(f"{path}: PGM size must be positive, got {w}x{h}")
+    if maxval != 255:
+        raise ParameterError(f"{path}: expected maxval 255, got {maxval}")
+    values = tokens[4:]
+    if len(values) != h * w:
+        raise ParameterError(f"{path}: expected {h * w} pixels, found {len(values)}")
+    arr = np.array(_convert_each(int, values, path), dtype=np.int64).reshape(h, w)
+    bad = ~np.isin(arr, (0, 255))
+    if bad.any():
+        raise ParameterError(f"{path}: pixels must be 0 or 255, found {arr[bad][:4]}")
+    return (arr == 255).astype(np.uint8)

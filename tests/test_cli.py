@@ -192,6 +192,14 @@ MALFORMED_FILES = {
     "gt_class_text/gt_00.pgm": "P2\n2 1\n255\n0 255\n",
     "gt_class_text/classes.json": json.dumps({"pred_classes": [[0.5, 0.5]],
                                               "gt_classes": [["x", 1]]}),
+    # a directory where a file is expected
+    "outdir/keep.txt": "",
+    "bool_weight.json": json.dumps({"weights": [True, 0, 0, 0, 0, 0], "bias": 0.0}),
+    "bool_bias.json": json.dumps({"weights": [0.0] * 6, "bias": False}),
+    "no_bias.json": json.dumps({"weights": [0.0] * 6}),
+    "no_weights.json": json.dumps({"bias": 0.0}),
+    "cost_object.json": json.dumps({"costs": [[1.0, 2.0], [3.0, 1.0]]}),
+    "big_pixel.pgm": "P2\n2 1\n255\n0 99999999999999999999\n",
 }
 NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out {tmp}/t.json "
 LOSS_EVAL = "loss eval --pred {tmp}/ok.pm --gt {tmp}/ok.pgm "
@@ -268,6 +276,20 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
     "noc run --predictor oracle --dataset {tmp}/feats_differ --seed 1 --out {tmp}/t.json",
     NOC_TRAINED + "--predictor noisy:0.3 --max-clicks 21",
     NOC_TRAINED + "--predictor noisy:0.05 --radius 3",
+    "loss eval --pred {tmp}/outdir --gt {tmp}/ok.pgm --loss bce",
+    "loss eval --pred {tmp}/ok.pm/x --gt {tmp}/ok.pgm --loss bce",
+    NOC_TRAINED + "--predictor trained:{tmp}/outdir",
+    "noc run --predictor oracle --dataset synth:{tmp}/spec.json --seed 1 --count 1 "
+    "--out {tmp}/outdir",
+    "loss curve --out {tmp}/outdir",
+    "synth gen --spec {tmp}/spec.json --out {tmp}/ok.pm",
+    TRAIN_DEMO.replace("{tmp}/run", "{tmp}/ok.pm"),
+    NOC_TRAINED + "--predictor trained:{tmp}/bool_weight.json",
+    NOC_TRAINED + "--predictor trained:{tmp}/bool_bias.json",
+    NOC_TRAINED + "--predictor trained:{tmp}/no_bias.json",
+    NOC_TRAINED + "--predictor trained:{tmp}/no_weights.json",
+    "match --costs {tmp}/cost_object.json",
+    "loss eval --pred {tmp}/ok.pm --gt {tmp}/big_pixel.pgm --loss bce",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
@@ -287,7 +309,11 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
         "match_pred_class_text", "match_gt_class_text", "synth_spec_json_string",
         "model_json_string", "noc_features_mask_size_mismatch",
         "noc_oracle_features_mask_size_mismatch", "noc_feature_sizes_differ",
-        "noc_max_clicks_above_cap", "noc_radius_removed"])
+        "noc_max_clicks_above_cap", "noc_radius_removed", "loss_eval_pred_directory",
+        "loss_eval_pred_under_a_file", "model_directory", "noc_out_directory",
+        "curve_out_directory", "synth_out_is_a_file", "train_out_is_a_file", "model_bool_weight",
+        "model_bool_bias", "model_no_bias", "model_no_weights", "match_costs_without_cost_key",
+        "pgm_pixel_beyond_int64"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
@@ -300,6 +326,33 @@ def test_malformed_input_exit_two(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "noc run --predictor oracle --dataset synth:{tmp}/spec.json --seed 1 --count 1 "
+    "--out {tmp}/outdir",
+    "loss curve --out {tmp}/outdir",
+], ids=["noc_out_directory", "curve_out_directory"])
+def test_failed_write_is_one_input_error_and_leaves_no_temp_file(capsys, tmp_path, argv):
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "spec.json").write_text(MALFORMED_FILES["spec.json"])
+    assert main(argv.format(tmp=tmp_path).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "spec.json"]
+    assert not any((tmp_path / "outdir").iterdir())
+
+
+@pytest.mark.parametrize("name, argv, key", [
+    ("no_bias.json", NOC_TRAINED + "--predictor trained:{tmp}/no_bias.json", "bias"),
+    ("no_weights.json", NOC_TRAINED + "--predictor trained:{tmp}/no_weights.json", "weights"),
+    ("cost_object.json", "match --costs {tmp}/cost_object.json", "cost"),
+], ids=["model_no_bias", "model_no_weights", "costs_without_cost_key"])
+def test_missing_json_key_is_named(capsys, tmp_path, name, argv, key):
+    for path in ("spec.json", name):
+        (tmp_path / path).write_text(MALFORMED_FILES[path])
+    assert main(argv.format(tmp=tmp_path).split()) == 2
+    assert capsys.readouterr().err == f"input error: missing key '{key}'\n"
 
 
 def test_train_divergence_exits_one_naming_the_step(capsys, tmp_path):
@@ -521,6 +574,22 @@ def test_benchmark_decode_match_runs_on_library_calls(tmp_path):
     result = workload.run_pass(reference=True)
     assert result.ops == len(seeds) and gate.attempted > result.ops
     assert gate.failed == 0
+
+
+def test_benchmark_pipeline_trained_runs_on_the_cli(tmp_path):
+    # pipeline_trained runs synth gen, train demo and noc run through
+    # cli.main: the PM/PGM files it writes and reads back must give two
+    # passes of one output
+    workloads = _perfbench_workloads()
+    mods = types.SimpleNamespace(**{name: importlib.import_module(f"clicklab.{name}")
+                                    for name in ("cli", "core", "synthgen")})
+    seeds, _ = workloads.draw_data_seeds(mods, "pipeline_trained", 1, True)
+    gate = workloads.Gate()
+    workload = workloads.PipelineTrained(mods, 1, True, str(tmp_path), gate, seeds)
+    first = workload.run_pass(reference=True)
+    second = workload.run_pass(reference=False)
+    assert gate.attempted >= 6 and gate.failed == 0
+    assert first.ops == workload.steps and first.digest == second.digest
 
 
 def test_report_reproducible_for_same_seed(capsys):

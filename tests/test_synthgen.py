@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,13 @@ def test_spec_takes_numpy_integers():
     assert bits(synthgen.generate(spec).feature_map) == bits(want.feature_map)
 
 
+def test_spec_to_json_gives_json_integers():
+    spec = synthgen.SynthSpec(np.int64(32), np.int32(40), np.uint8(2), seed=np.uint64(3))
+    text = json.dumps(spec.to_json())
+    assert json.loads(text) == synthgen.SynthSpec(32, 40, 2, seed=3).to_json()
+    assert synthgen.SynthSpec.from_json(json.loads(text)) == spec
+
+
 def _twin(rng):
     """A generator that draws what ``rng`` draws next."""
     twin = np.random.Generator(type(rng.bit_generator)())
@@ -136,3 +145,41 @@ def test_raster_window_clipped_at_canvas_edge_equals_reference(kind, noise):
             mask = _check_raster(rows, cols, kind, center, radius, rng, noise)
             on_edge += bool(mask[[0, -1]].any() or mask[:, [0, -1]].any())
     assert on_edge >= 100, on_edge  # the corner centres alone give 100
+
+
+class _Draws:
+    """Stands in for a generator: ``uniform`` returns the queued draws in turn."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def uniform(self, low, high, size=None):
+        draw = self.draws.pop(0)
+        assert np.shape(draw) == (() if size is None else (size,))
+        assert np.all((low <= np.asarray(draw)) & (np.asarray(draw) <= high))
+        return draw
+
+
+def test_ellipse_window_holds_the_worst_case_boundary():
+    # The ellipse term of the window bound is 2*sqrt(2)*noise: at ratio 0.5
+    # the jitter is scaled by a/b = 2 along the major axis.  With |a| = |b| = 1
+    # the three harmonics sum to at most 4.06 of the bound's 3*sqrt(2), at an
+    # angle the signs below put the major axis on.
+    signs = [(-1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)]
+    theta = np.linspace(-np.pi, np.pi, 100001)
+    harmonics = sum(a * np.cos(k * theta) + b * np.sin(k * theta)
+                    for k, (a, b) in enumerate(signs, start=1))
+    peak = theta[harmonics.argmax()]
+    assert harmonics.max() > 4.05
+    draws = [np.array(s) for s in signs] + [0.5, peak % np.pi]
+
+    h = w = 128
+    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
+    center, radius, noise = (64.0, 64.0), 20.0, 8.0
+    mask = synthgen._raster_shape(rows, cols, "ellipse", center, radius, _Draws(draws), noise)
+    full = reference_raster(rows, cols, "ellipse", center, radius, _Draws(draws), noise)
+    assert bits(mask) == bits(full)  # every pixel of the full-canvas shape is in the window
+    # a window of half-side radius + 1 + sqrt(2)*noise would cut the shape
+    ys, xs = np.nonzero(full)
+    reach = max(np.abs(ys - center[0]).max(), np.abs(xs - center[1]).max())
+    assert reach > radius + 2.0 + np.sqrt(2.0) * noise
