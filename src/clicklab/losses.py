@@ -18,9 +18,9 @@ Each loss is evaluated in three stages.  :func:`make_loss` checks the
 parameters and returns a :class:`Loss`; :class:`Target` validates a ground
 truth once and keeps what does not change between evaluations; and
 ``Loss.bind(target)`` returns the trusted step that maps a probability map to
-``(value, grad_wrt_prob, diagnostics)``.  The public functions (``bce``,
-``focal``, ...) run all three on one pair of maps; a training loop binds
-once and steps many times.
+``(value, grad_wrt_prob, diagnostics)``.  ``make_loss(name, **params)(pred,
+gt)`` runs all three on one pair of maps, as ``bce``, ``focal`` and ``poly``
+do for the ladder; a training loop binds once and steps many times.
 """
 
 from __future__ import annotations
@@ -120,9 +120,8 @@ class Loss:
 
 def _powlog_step(target: Target, gamma, alpha: float, normalized: bool = False, mu=1.0,
                  diagnostics=None):
-    """bce, focal and poly, times ``mu``; with ``normalized``, nfl's detached
-    N / sum (1-pt)^gamma scale, and value 0, grad 0 on an all-perfect map.
-    Each step returns a copy of ``diagnostics`` (default empty)."""
+    """bce, focal and poly, times ``mu``; with ``normalized``, nfl (see
+    make_loss).  Each step returns a copy of ``diagnostics`` (default empty)."""
     def step(p):
         pt, chain = target.pt_and_chain(p)
         omp = 1.0 - pt
@@ -150,8 +149,7 @@ def _ratio_step(target: Target, kernel):
 
 
 def _check_beta(kind: str, beta):
-    """An explicit beta of 'wbce' (finite, > 0; None asks for the auto-beta)
-    or of 'balanced_ce' (in (0, 1)), as a float."""
+    """wbce's or balanced_ce's beta as a float, checked as make_loss says."""
     if kind == "wbce":
         if beta is not None and not (math.isfinite(beta) and beta > 0.0):
             raise ParameterError(f"wbce beta must be finite and > 0, got {beta}")
@@ -247,7 +245,7 @@ def _power(base: np.ndarray, e):
 
 
 # ---------------------------------------------------------------------------
-# individual losses: validate, bind, step
+# bce, focal and poly, the special-case ladder: validate, bind, step
 # ---------------------------------------------------------------------------
 
 def bce(pred, gt) -> LossOutput:
@@ -264,37 +262,6 @@ def poly(pred, gt, gamma: float, alpha: float) -> LossOutput:
     """Focal plus the polynomial correction alpha*(1-pt)^(gamma+1); alpha
     finite and >= 0."""
     return make_loss("poly", gamma=gamma, alpha=alpha)(pred, gt)
-
-
-def nfl(pred, gt, gamma: float) -> LossOutput:
-    """Focal rescaled by N / sum (1-pt)^gamma.
-
-    The normalizer is detached: the gradient is the focal gradient times the
-    same scale.  An all-perfect map (normalizer 0) returns value 0, grad 0.
-    """
-    return make_loss("nfl", gamma=gamma)(pred, gt)
-
-
-def dice(pred, gt, smooth: float = 1.0) -> LossOutput:
-    """1 - (2*sum(p*y)+s) / (sum(p)+sum(y)+s), s finite and >= 0.  Already
-    normalized per map."""
-    return make_loss("dice", smooth=smooth)(pred, gt)
-
-
-def aux_loss(kind: str, pred, gt, beta: float | None = None) -> LossOutput:
-    """Comparison losses: 'wbce', 'balanced_ce', or 'soft_iou'.
-
-    wbce weights the positive term by a finite beta > 0 (default:
-    negatives/positives of the ground truth, which errors out on an
-    all-background or all-foreground map).  balanced_ce splits the two terms
-    as beta vs 1-beta with beta in (0, 1).  Both are bce with a per-pixel
-    class weight, through bce's kernel and its one clamp (pt >= 1e-7), so
-    wbce(beta=1) equals bce and balanced_ce(beta=1/2) half of it bit for bit.
-    soft_iou takes no beta and uses the probabilistic intersection/union.
-    """
-    if kind not in ("wbce", "balanced_ce", "soft_iou"):
-        raise ParameterError(f"unknown aux loss kind {kind!r}")
-    return make_loss(kind, **({} if beta is None else {"beta": beta}))(pred, gt)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +310,18 @@ _LOSS_PARAMS = {
 
 
 def make_loss(name: str, **params) -> Loss:
-    """Build the :class:`Loss` named by a key of ``_LOSS_PARAMS`` ('bce',
-    'focal', ..., 'afl'), checking every parameter given.  Keyword arguments
-    the loss does not take are rejected.  Only wbce's auto-beta, which
-    depends on the ground truth, is checked when the loss is bound."""
+    """Build the :class:`Loss` named by a ``_LOSS_PARAMS`` key, checking every
+    parameter given and rejecting any the loss does not take.  Besides the
+    ladder bce, focal, poly and afl:
+
+    * nfl: focal times the detached N / sum (1-pt)^gamma; value 0 and grad 0
+      on an all-perfect map.
+    * dice: per map 1 - (2*sum(p*y)+s)/(sum(p)+sum(y)+s), finite smooth s >= 0.
+    * wbce: bce with the positive term times a finite beta > 0, by default the
+      ground truth's negatives/positives, fixed when bound (one class raises).
+    * balanced_ce: the two terms times beta and 1 - beta, beta in (0, 1).
+    * soft_iou: 1 - sum(p*y) / sum(p+y-p*y); takes no beta.
+    * wbce(beta=1) == bce and balanced_ce(beta=1/2) == bce / 2, bit for bit."""
     name = name.lower()
     if name not in _LOSS_PARAMS:
         raise ParameterError(f"unknown loss {name!r}")

@@ -22,6 +22,7 @@ its shape, of half-side 1 + radius + √2·noise (|jitter| <= √2·noise), with
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -52,15 +53,22 @@ class SynthSpec:
             raise ParameterError("n_instances must be >= 1")
         if self.shape_kind not in SHAPE_KINDS:
             raise ParameterError(f"shape_kind must be one of {SHAPE_KINDS}")
-        if not 0.0 <= self.boundary_noise < np.inf:
-            raise ParameterError(f"boundary_noise must be finite and >= 0, got {self.boundary_noise}")
+        noise = self.boundary_noise  # a real number, but not a bool
+        if isinstance(noise, bool) or not (isinstance(noise, numbers.Real) and 0.0 <= noise < np.inf):
+            raise ParameterError(f"boundary_noise must be finite and >= 0, got {noise!r}")
+        if not isinstance(self.nesting, bool):
+            raise ParameterError(f"nesting must be a bool, got {self.nesting!r}")
         if self.nesting and self.n_instances < 2:
             raise ParameterError("nesting requires n_instances >= 2")
 
     def to_json(self) -> dict:
-        """The fields as JSON types; an integer field may hold a numpy integer."""
-        return {f.name: operator.index(getattr(self, f.name)) if f.type == "int"
-                else getattr(self, f.name) for f in dataclasses.fields(self)}
+        """The fields as JSON types.  An integer field may hold a numpy integer
+        and ``boundary_noise`` any real number; a Python int or float is kept."""
+        obj = {f.name: operator.index(getattr(self, f.name)) if f.type == "int"
+               else getattr(self, f.name) for f in dataclasses.fields(self)}
+        if type(self.boundary_noise) not in (int, float):
+            obj["boundary_noise"] = float(self.boundary_noise)
+        return obj
 
     @classmethod
     def from_json(cls, obj) -> "SynthSpec":

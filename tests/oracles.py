@@ -162,7 +162,7 @@ def reference_frozen_value_fn(name: str, pred, gt, params: dict):
         _, diag = adaptive.afl(pred, gt, adaptive.AflParams(**params))
         return lambda p: reference_afl_value(p, gt, diag.gamma_d, diag.mu, params["alpha"])
     if name == "nfl":
-        scale = losses.nfl(pred, gt, params["gamma"]).diagnostics["nfl_scale"]
+        scale = losses.make_loss("nfl", gamma=params["gamma"])(pred, gt).diagnostics["nfl_scale"]
         return lambda p: scale * losses.focal(p, gt, params["gamma"]).value
     fn = losses.make_loss(name, **params)
     return lambda p: fn(p, gt).value

@@ -14,6 +14,7 @@ import pytest
 import clicklab
 from clicklab.cli import build_parser, main
 from clicklab.fileio import read_pm, write_pgm, write_pm
+from clicklab.losses import _LOSS_PARAMS, grad_stats, make_loss
 
 
 @pytest.fixture()
@@ -51,6 +52,30 @@ def test_loss_eval_worked_afl_single_pixel(capsys, tmp_path):
     assert code == 0
     assert report["results"]["value"] == pytest.approx(0.4349619, abs=1e-6)
     assert report["results"]["diagnostics"]["gamma_a"] == pytest.approx(0.5)
+
+
+# flags for every loss make_loss builds, none at its default
+EVAL_FLAGS = {
+    "bce": {}, "wbce": {"beta": 2.5}, "balanced_ce": {"beta": 0.3}, "soft_iou": {},
+    "focal": {"gamma": 1.5}, "nfl": {"gamma": 2.5}, "poly": {"gamma": 1.5, "alpha": 0.5},
+    "dice": {"smooth": 0.5}, "afl": {"gamma": 1.5, "alpha": 0.5, "delta": 0.3},
+}
+
+
+@pytest.mark.parametrize("name", list(_LOSS_PARAMS))
+def test_loss_eval_equals_make_loss_for_every_loss(capsys, tmp_path, name):
+    rng = np.random.default_rng(3)
+    pred = rng.uniform(0.0, 1.0, size=(5, 7))
+    gt = (rng.random((5, 7)) < 0.4).astype(np.uint8)
+    write_pm(str(tmp_path / "p.pm"), pred)
+    write_pgm(str(tmp_path / "g.pgm"), gt)
+    flags = [arg for key, value in EVAL_FLAGS[name].items() for arg in (f"--{key}", repr(value))]
+    code, report = run_cli(capsys, "loss", "eval", "--pred", str(tmp_path / "p.pm"),
+                           "--gt", str(tmp_path / "g.pgm"), "--loss", name, *flags)
+    want = make_loss(name, **EVAL_FLAGS[name])(pred, gt)
+    assert code == 0
+    assert repr(report["results"]["value"]) == repr(want.value)
+    assert report["results"]["grad_stats"] == grad_stats(want.grad_wrt_prob)
 
 
 def test_loss_eval_shape_mismatch_exit_two(capsys, tmp_path):
@@ -590,6 +615,22 @@ def test_benchmark_pipeline_trained_runs_on_the_cli(tmp_path):
     second = workload.run_pass(reference=False)
     assert gate.attempted >= 6 and gate.failed == 0
     assert first.ops == workload.steps and first.digest == second.digest
+
+
+@pytest.mark.parametrize("name", ["verify_suite", "noc_noisy"])
+def test_benchmark_cli_workload_runs_twice_to_one_digest(tmp_path, name):
+    # verify_suite drives the loss layer through loss grad-check and
+    # identity-check, noc_noisy the click simulation through noc run
+    workloads = _perfbench_workloads()
+    mods = types.SimpleNamespace(**{mod: importlib.import_module(f"clicklab.{mod}")
+                                    for mod in ("cli", "core", "synthgen")})
+    seeds, _ = workloads.draw_data_seeds(mods, name, 1, True)
+    gate = workloads.Gate()
+    workload = workloads.WORKLOADS[name](mods, 1, True, str(tmp_path), gate, seeds)
+    first = workload.run_pass(reference=True)
+    second = workload.run_pass(reference=False)
+    assert gate.attempted >= 2 and gate.failed == 0
+    assert first.ops == second.ops > 0 and first.digest == second.digest
 
 
 def test_report_reproducible_for_same_seed(capsys):

@@ -103,7 +103,7 @@ def test_nfl_constant_pt_equals_bce():
     for pt in (0.3, 0.6, 0.9):
         pred = np.full((4, 5), pt)
         gt = np.ones((4, 5), dtype=np.uint8)
-        got = losses.nfl(pred, gt, 2.0).value
+        got = losses.make_loss("nfl", gamma=2.0)(pred, gt).value
         want = losses.bce(pred, gt).value
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -111,12 +111,12 @@ def test_nfl_constant_pt_equals_bce():
 def test_nfl_single_pixel_is_bce_any_gamma():
     pred = np.array([[0.37]])
     for gamma in (0.0, 1.0, 3.7, 5.0):
-        assert losses.nfl(pred, ONE, gamma).value == pytest.approx(
+        assert losses.make_loss("nfl", gamma=gamma)(pred, ONE).value == pytest.approx(
             losses.bce(pred, ONE).value, abs=1e-12)
 
 
 def test_nfl_degenerate_all_perfect():
-    out = losses.nfl(np.ones((3, 3)), np.ones((3, 3), dtype=np.uint8), 2.0)
+    out = losses.make_loss("nfl", gamma=2.0)(np.ones((3, 3)), np.ones((3, 3), dtype=np.uint8))
     assert out.value == 0.0
     np.testing.assert_array_equal(out.grad_wrt_prob, np.zeros((3, 3)))
 
@@ -128,7 +128,7 @@ def test_nfl_degenerate_all_perfect():
 def test_dice_exact_match_is_zero():
     gt = np.zeros((4, 4), dtype=np.uint8)
     gt[1:3, 1:3] = 1
-    assert losses.dice(gt.astype(float), gt, smooth=1.0).value == 0.0
+    assert losses.make_loss("dice", smooth=1.0)(gt.astype(float), gt).value == 0.0
 
 
 def _k_ones(k):
@@ -140,16 +140,17 @@ def _k_ones(k):
 def test_dice_empty_prediction_direct_substitution():
     # pred all 0, k foreground pixels: 1 - (0+1)/(k+1); k=3 gives 0.75
     for k in (1, 3, 7):
-        got = losses.dice(np.zeros((3, 3)), _k_ones(k), smooth=1.0).value
+        got = losses.make_loss("dice", smooth=1.0)(np.zeros((3, 3)), _k_ones(k)).value
         assert got == pytest.approx(1.0 - 1.0 / (k + 1), abs=1e-12)
 
 
 def test_dice_both_empty_is_zero():
-    assert losses.dice(np.zeros((2, 2)), np.zeros((2, 2), dtype=np.uint8), 1.0).value == 0.0
+    out = losses.make_loss("dice", smooth=1.0)(np.zeros((2, 2)), np.zeros((2, 2), dtype=np.uint8))
+    assert out.value == 0.0
 
 
 # ---------------------------------------------------------------------------
-# aux losses
+# wbce, balanced_ce and soft_iou
 # ---------------------------------------------------------------------------
 
 def saturated_pair(rng):
@@ -166,7 +167,7 @@ def test_wbce_beta_one_equals_bce():
     rng = rng_stream(13, "test/wbce")
     for _ in range(20):
         pred, gt = saturated_pair(rng)
-        got = losses.aux_loss("wbce", pred, gt, beta=1.0)
+        got = losses.make_loss("wbce", beta=1.0)(pred, gt)
         want = losses.bce(pred, gt)
         assert bits(got.value) == bits(want.value)
         assert bits(got.grad_wrt_prob) == bits(want.grad_wrt_prob)
@@ -179,13 +180,13 @@ def test_wbce_auto_beta_requires_foreground():
         with pytest.raises(ParameterError, match="auto-beta"):
             loss.bind(losses.Target(gt))
         with pytest.raises(ParameterError):
-            losses.aux_loss("wbce", np.full((2, 2), 0.5), gt)
+            losses.make_loss("wbce")(np.full((2, 2), 0.5), gt)
 
 
 def test_wbce_auto_beta_is_neg_over_pos():
     gt = np.zeros((2, 2), dtype=np.uint8)
     gt[0, 0] = 1  # 3 negatives / 1 positive
-    out = losses.aux_loss("wbce", np.full((2, 2), 0.5), gt)
+    out = losses.make_loss("wbce")(np.full((2, 2), 0.5), gt)
     assert out.diagnostics["beta"] == pytest.approx(3.0)
 
 
@@ -193,7 +194,7 @@ def test_balanced_ce_half_beta_is_half_bce():
     rng = rng_stream(14, "test/bal")
     for _ in range(20):
         pred, gt = saturated_pair(rng)
-        got = losses.aux_loss("balanced_ce", pred, gt, beta=0.5)
+        got = losses.make_loss("balanced_ce", beta=0.5)(pred, gt)
         want = losses.bce(pred, gt)
         assert bits(got.value) == bits(0.5 * want.value)
         assert bits(got.grad_wrt_prob) == bits(0.5 * want.grad_wrt_prob)
@@ -202,12 +203,12 @@ def test_balanced_ce_half_beta_is_half_bce():
 def test_soft_iou_exact_match_is_zero():
     gt = np.zeros((4, 4), dtype=np.uint8)
     gt[0:2, 0:2] = 1
-    assert losses.aux_loss("soft_iou", gt.astype(float), gt).value == 0.0
+    assert losses.make_loss("soft_iou")(gt.astype(float), gt).value == 0.0
 
 
 def test_balanced_ce_requires_unit_interval_beta():
     with pytest.raises(ParameterError):
-        losses.aux_loss("balanced_ce", np.full((3, 3), 0.5), _k_ones(2), beta=1.5)
+        losses.make_loss("balanced_ce", beta=1.5)(np.full((3, 3), 0.5), _k_ones(2))
 
 
 @pytest.mark.parametrize("name, params", [
@@ -305,9 +306,9 @@ def test_leading_axis_kernels_equal_2d_losses_per_map():
             }
             per_map = {
                 "poly": [losses.poly(m, gt, g, alpha) for m in maps],
-                "balanced_ce": [losses.aux_loss("balanced_ce", m, gt, beta=beta) for m in maps],
-                "dice": [losses.dice(m, gt, smooth) for m in maps],
-                "soft_iou": [losses.aux_loss("soft_iou", m, gt) for m in maps],
+                "balanced_ce": [losses.make_loss("balanced_ce", beta=beta)(m, gt) for m in maps],
+                "dice": [losses.make_loss("dice", smooth=smooth)(m, gt) for m in maps],
+                "soft_iou": [losses.make_loss("soft_iou")(m, gt) for m in maps],
             }
             for name, (values, grads) in batched.items():
                 assert values.shape == (k,)
@@ -389,7 +390,7 @@ def test_losses_of_a_column_gathered_map_equal_its_contiguous_copy():
         assert not gathered.flags.c_contiguous
         copy = np.ascontiguousarray(gathered)
         gt = (rng.random((h, w)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
-        for fn in (losses.dice, losses.bce, lambda p, y: adaptive.afl(p, y)[0]):
+        for fn in (losses.make_loss("dice"), losses.bce, lambda p, y: adaptive.afl(p, y)[0]):
             got, want = fn(gathered, gt), fn(copy, gt)
             assert repr(got.value) == repr(want.value)
             assert bits(got.grad_wrt_prob) == bits(want.grad_wrt_prob)
@@ -438,12 +439,8 @@ def test_no_function_or_field_takes_clamp_or_reduction():
 
 
 def test_soft_iou_takes_no_beta():
-    pred, gt = random_pair(rng_stream(17, "test/soft_iou_beta"))
     with pytest.raises(ParameterError, match="does not accept"):
         losses.make_loss("soft_iou", beta=0.3)
-    with pytest.raises(ParameterError, match="does not accept"):
-        losses.aux_loss("soft_iou", pred, gt, beta=0.3)
-    assert losses.aux_loss("soft_iou", pred, gt).value == losses.make_loss("soft_iou")(pred, gt).value
 
 
 # two different valid values of every parameter make_loss accepts

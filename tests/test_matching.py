@@ -309,14 +309,17 @@ def test_total_loss_requires_predictions():
     (synthgen.SynthSpec, {"nesting": True}),
     (synthgen.SynthSpec, {"height": 32.5}),
     (synthgen.SynthSpec, {"seed": True}),
+    (synthgen.SynthSpec, {"n_instances": 2, "nesting": "yes"}),
+    (synthgen.SynthSpec, {"boundary_noise": True}),
     (trainer.TrainConfig, {"steps": 2.5}),
     (trainer.TrainConfig, {"instance_index": False}),
     (trainer.TrainConfig, {"loss": "nope"}),
     (trainer.TrainConfig, {"loss_params": {"gamma": 9.0}}),
     (trainer.TrainConfig, {"loss": "bce", "loss_params": {"beta": 0.5}}),
 ], ids=["afl_gamma_nine", "unclick_nan", "lambda_cli_inf", "train_steps_zero", "synth_nesting_one",
-        "synth_height_float", "synth_seed_bool", "train_steps_float", "train_instance_bool",
-        "train_loss_unknown", "train_gamma_nine", "train_param_not_taken"])
+        "synth_height_float", "synth_seed_bool", "synth_nesting_text", "synth_noise_bool",
+        "train_steps_float", "train_instance_bool", "train_loss_unknown", "train_gamma_nine",
+        "train_param_not_taken"])
 def test_invalid_parameter_object_cannot_be_built(cls, kwargs, build):
     # every parameter object checks itself when it is built, so no function
     # that receives one re-checks it

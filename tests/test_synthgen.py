@@ -92,6 +92,16 @@ def test_spec_to_json_gives_json_integers():
     assert synthgen.SynthSpec.from_json(json.loads(text)) == spec
 
 
+@pytest.mark.parametrize("noise, want", [
+    (1, "1"), (0.25, "0.25"), (np.float32(0.25), "0.25"), (np.float64(0.1), "0.1"), (np.int64(2), "2.0"),
+], ids=["int", "float", "numpy_float32", "numpy_float64", "numpy_int"])
+def test_spec_to_json_gives_json_boundary_noise(noise, want):
+    # a Python int or float is written as it is, so meta.json keeps its bytes
+    obj = synthgen.SynthSpec(boundary_noise=noise).to_json()
+    assert json.dumps(obj["boundary_noise"]) == want
+    assert type(obj["boundary_noise"]) in (int, float)
+
+
 def _twin(rng):
     """A generator that draws what ``rng`` draws next."""
     twin = np.random.Generator(type(rng.bit_generator)())
