@@ -14,8 +14,10 @@ Final per-pixel form:  -mu*(1-pt)^gamma_d*log(pt) + alpha*(1-pt)^(gamma_d+1).
 Both coefficients are computed from the clamped pt map and detached: the
 analytic gradient differentiates through pt only.  One routine,
 ``_afl_coeffs``, computes them for a stack of maps; the bound training step
-passes its one map as a (1, 1, h, w) stack, and the matching cost a block of
-prediction rows against every ground truth.  With ADA and AGR disabled
+passes its one map as a (1, 1, h, w) stack, the matching cost a block of
+prediction rows against every ground truth, and ``identity_residuals`` (the
+``loss identity-check`` pass, one call per map shape) a (1, K, h, w) stack of
+K maps with per-map exponents.  With ADA and AGR disabled
 (gamma_a := 0, mu := 1) the loss collapses to poly, then focal (alpha=0),
 then bce (gamma=0) -- bit-exactly, since all share one kernel.
 
@@ -31,8 +33,9 @@ from functools import partial
 
 import numpy as np
 
-from .core import DimensionError, DomainError, ParameterError, check_nonnegative
-from .losses import Loss, LossOutput, _check_gamma, _power, _powlog_terms
+from .core import (DEFAULT_EPS_CLIP, DimensionError, DomainError, ParameterError, _pt_kernel,
+                   as_binary_mask, as_prob_stack, check_integer, check_nonnegative)
+from .losses import Loss, LossOutput, _check_gamma, _power, _powlog_terms, powlog_kernel
 
 MU_FLOOR_PER_PIXEL = 1e-12  # caps mu at 1e12 when the map is near perfect
 
@@ -49,11 +52,6 @@ class AflParams:
         _check_gamma(self.gamma)
         check_nonnegative("alpha", self.alpha)
         _check_delta(self.delta)
-
-
-def _check_gamma_d(gamma_d: float) -> None:
-    if gamma_d < 0.0:
-        raise ParameterError(f"gamma_d must be >= 0, got {gamma_d}")
 
 
 def _check_delta(delta: float) -> None:
@@ -84,9 +82,9 @@ def mu(pt, gamma_d: float, delta: float) -> float:
     arr = np.asarray(pt, dtype=np.float64)
     if arr.size == 0:
         raise DimensionError("mu needs at least one pixel")
-    _check_gamma_d(gamma_d)
+    check_nonnegative("gamma_d", gamma_d)
     _check_delta(delta)
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both comparisons
         raise ParameterError("pt values must lie in [0, 1]")
     return float(_mu_kernel(((1.0 - arr) ** gamma_d).ravel().sum(), arr.size, gamma_d, delta))
 
@@ -118,7 +116,8 @@ def _afl_step(target, params: AflParams):
 
     def step(p):
         pt, chain = target.pt_and_chain(p)
-        coeffs, omp, mod = _afl_coeffs(pt[None, None], fg_index, params)
+        coeffs, omp, mod = _afl_coeffs(pt[None, None], fg_index, params.gamma, params.delta,
+                                       params.ada_enabled, params.agr_enabled)
         diag = {k: v.item() for k, v in vars(coeffs).items()}
         value_px, grad = _powlog_terms(pt, omp[0, 0], mod[0, 0], diag["gamma_d"], params.alpha,
                                        diag["mu"])
@@ -127,18 +126,22 @@ def _afl_step(target, params: AflParams):
     return step
 
 
-def _afl_coeffs(pt: np.ndarray, fg_index: list, params: AflParams):
+def _afl_coeffs(pt: np.ndarray, fg_index: list, gamma, delta, ada_enabled: bool = True,
+                agr_enabled: bool = True):
     """Per-map coefficients of trusted pt maps, with ``1 - pt`` and the
     modulator ``(1-pt)**gamma_d`` that mu and the loss share.
 
     ``pt`` is a (K, M, h, w) stack whose column j is paired with the flat
     row-major foreground indices ``fg_index[j]`` of its ground truth; one
-    map is the (1, 1, h, w) case.  Returns ``(diagnostics, omp,
-    mod)``; the diagnostics' fields are (K, M) arrays, except the (M,)
-    ``hard_count``.  Each map's coefficients equal those of ``pt[fg].mean()``
-    and of Python-float exponents bit for bit: the foreground is summed in
-    row-major order, and ``losses._power`` recomputes the maps whose exponent
-    numpy special-cases.
+    map is the (1, 1, h, w) case, and the identity check's shape group of K
+    maps the (1, K, h, w) case.  The checked ``gamma`` and ``delta`` are
+    floats, or arrays of one value per map that broadcast against the (K, M)
+    coefficients, such as the identity check's (K,) arrays against (1, K).
+    Returns ``(diagnostics, omp, mod)``; the diagnostics' fields are (K, M)
+    arrays, except the (M,) ``hard_count``.  Each map's coefficients equal
+    those of ``pt[fg].mean()`` and of Python-float exponents bit for bit: the
+    foreground is summed in row-major order, and ``losses._power`` recomputes
+    the maps whose exponent numpy special-cases.
     """
     k, m = pt.shape[:2]
     flat = pt.reshape(k, m, -1)
@@ -148,12 +151,12 @@ def _afl_coeffs(pt: np.ndarray, fg_index: list, params: AflParams):
         if ix.size:
             np.divide(flat[:, j].take(ix, axis=1).sum(axis=1), ix.size, out=fg_pt_mean[:, j])
 
-    g_a = 1.0 - fg_pt_mean if params.ada_enabled else np.zeros((k, m))
-    g_d = params.gamma + g_a
+    g_a = 1.0 - fg_pt_mean if ada_enabled else np.zeros((k, m))
+    g_d = gamma + g_a
     omp = 1.0 - pt
     mod = _power(omp, g_d[..., None, None])
-    mu_val = (_mu_kernel(mod.sum(axis=(-2, -1)), pt.shape[-2] * pt.shape[-1], g_d, params.delta)
-              if params.agr_enabled else np.ones((k, m)))
+    mu_val = (_mu_kernel(mod.sum(axis=(-2, -1)), pt.shape[-2] * pt.shape[-1], g_d, delta)
+              if agr_enabled else np.ones((k, m)))
     return AflDiagnostics(g_a, g_d, mu_val, hard_count, fg_pt_mean), omp, mod
 
 
@@ -161,15 +164,17 @@ def _afl_coeffs(pt: np.ndarray, fg_index: list, params: AflParams):
 # truncated-series verification tools (domain pt > 0.5)
 # ---------------------------------------------------------------------------
 
-def _series_domain(pt, terms: int = 1) -> np.ndarray:
-    """pt as a float64 array in (0.5, 1], for an expansion of ``terms`` >= 1."""
+def _series_domain(pt, terms: int, min_terms: int = 1) -> np.ndarray:
+    """pt as a float64 array in (0.5, 1], for an expansion of an integer
+    ``terms`` >= ``min_terms``."""
     arr = np.asarray(pt, dtype=np.float64)
     if arr.size == 0:
         raise DimensionError("series operations need at least one pixel")
-    if arr.min() <= 0.5 or arr.max() > 1.0:
+    if not (arr.min() > 0.5 and arr.max() <= 1.0):  # NaN fails both comparisons
         raise DomainError("series expansions require pt in (0.5, 1]")
-    if terms < 1:
-        raise ParameterError("terms must be >= 1")
+    check_integer("terms", terms)
+    if terms < min_terms:
+        raise ParameterError(f"terms must be >= {min_terms}, got {terms}")
     return arr
 
 
@@ -208,7 +213,8 @@ def afl_grad_series(pt, gamma_d: float, alpha: float, terms: int) -> np.ndarray:
     and alpha=0 the bracket is the geometric series for 1/pt.
     """
     arr = _series_domain(pt, terms)
-    _check_gamma_d(gamma_d)
+    check_nonnegative("gamma_d", gamma_d)
+    check_nonnegative("alpha", alpha)
     omp = 1.0 - arr
     bracket = np.full_like(arr, (1.0 + alpha) * (1.0 + gamma_d))
     for k in range(2, terms + 1):
@@ -227,10 +233,9 @@ def gradient_decomposition(pt, gamma_d: float, alpha: float, delta: float,
     obtained by treating the correction column as delta-proportional to nu.
     Row-for-row, ``nu + nabla_b`` equals the bracket of ``afl_grad_series``.
     """
-    arr = _series_domain(pt)
-    if terms < 2:
-        raise ParameterError("decomposition needs terms >= 2")
-    _check_gamma_d(gamma_d)
+    arr = _series_domain(pt, terms, min_terms=2)
+    check_nonnegative("gamma_d", gamma_d)
+    check_nonnegative("alpha", alpha)
     _check_delta(delta)
     omp = 1.0 - arr
     nu = bce_grad_series(arr, terms)
@@ -251,8 +256,8 @@ def chebyshev_identity_check(pt, gamma_d: float) -> float:
     arr = np.asarray(pt, dtype=np.float64)
     if arr.size == 0:
         raise DimensionError("residual needs at least one pixel")
-    _check_gamma_d(gamma_d)
-    if arr.min() <= 0.0 or arr.max() > 1.0:
+    check_nonnegative("gamma_d", gamma_d)
+    if not (arr.min() > 0.0 and arr.max() <= 1.0):  # NaN fails both comparisons
         raise ParameterError("pt values must lie in (0, 1]")
     a = ((1.0 - arr) ** gamma_d).ravel()
     b = (1.0 / arr).ravel()
@@ -260,3 +265,68 @@ def chebyshev_identity_check(pt, gamma_d: float) -> float:
     db = b - b[0]
     n = a.size
     return float(abs((da * db).sum() - da.sum() * db.sum() / n))
+
+
+# ---------------------------------------------------------------------------
+# the special-case ladder and the mu identity, one stack of same-shape maps
+# ---------------------------------------------------------------------------
+
+def identity_residuals(pred, gt, gamma, alpha, delta):
+    """Per-map residuals of the special-case ladder and of the mu identity
+    for K maps of one shape, checked once and evaluated in one stacked pass.
+
+    ``pred`` and ``gt`` are (K, h, w) stacks of probability maps and {0, 1}
+    masks; ``gamma``, ``alpha`` and ``delta`` hold one value per map in
+    ``AflParams``' ranges.  Returns ``(ladder_gaps, mu_residual, gamma_a)``
+    with one value per map: for each rung of ``_identity_terms`` the larger
+    of its value gap and its largest gradient gap, |mean(mu*(1-pt)**gamma_d
+    * (1+delta*gamma_d)) - 1|, and gamma_a, both of AFL with ADA and AGR on.
+    """
+    p = as_prob_stack(pred, np.shape(gt)[1:])
+    y = as_binary_mask(np.reshape(gt, (-1, p.shape[-1])))
+    if y.shape[0] != p.shape[0] * p.shape[1]:
+        raise DimensionError(f"mask stack shape {np.shape(gt)} differs from {p.shape}")
+    gamma, alpha, delta = (np.asarray(v, dtype=np.float64) for v in (gamma, alpha, delta))
+    for name, v, hi in (("gamma", gamma, 5.0), ("alpha", alpha, np.finfo(np.float64).max),
+                        ("delta", delta, 1.0)):
+        if v.shape != p.shape[:1] or not (v.min() >= 0.0 and v.max() <= hi):  # NaN fails
+            raise ParameterError(f"{name} needs one value in [0, {hi}] per map, got {v}")
+    rungs, mu_residual, g_a = _identity_terms(p, y.reshape(p.shape), gamma, alpha, delta)
+    gaps = {rung: np.maximum(np.abs(upper[0] - lower[0]),
+                             np.abs(upper[1] - lower[1]).max(axis=(-2, -1)))
+            for rung, (upper, lower) in rungs.items()}
+    return gaps, mu_residual, g_a
+
+
+def _identity_terms(p, y, gamma, alpha, delta):
+    """``(rungs, mu_residual, gamma_a)`` of trusted stacks and parameters;
+    ``rungs`` maps each rung to its two losses as ``(values, grads_wrt_prob)``:
+    afl (ADA and AGR off) against poly, poly(alpha=0) against focal, and
+    focal(gamma=0) against bce.  afl runs ``_afl_coeffs`` and
+    ``_powlog_terms``, the others ``powlog_kernel`` with per-map (K, 1, 1)
+    gammas and alphas where the one-map loss takes them as arguments and the
+    float 0 where it fixes them.  Every value equals that of the validated
+    one-map calls (``afl``, ``losses.poly``, ``focal``, ``bce``, ``pt_map``)
+    bit for bit."""
+    pt = _pt_kernel(p, y)
+    chain = np.where(y == 1, 1.0, -1.0) * (pt > DEFAULT_EPS_CLIP)
+    fg_index = [np.flatnonzero(m) for m in y]
+    g, a = gamma[:, None, None], alpha[:, None, None]
+    zero = np.zeros_like(g)
+
+    def summed(value_px, dvalue_dpt):
+        return value_px.sum(axis=(-2, -1)), dvalue_dpt * chain
+
+    off, omp, mod = _afl_coeffs(pt[None], fg_index, gamma, delta, False, False)
+    afl_off = _powlog_terms(pt, omp[0], mod[0], off.gamma_d[0, :, None, None], a,
+                            off.mu[0, :, None, None])
+    rungs = {"poly": (summed(*afl_off), summed(*powlog_kernel(pt, g, a, 1.0))),
+             "focal": (summed(*powlog_kernel(pt, g, zero, 1.0)),
+                       summed(*powlog_kernel(pt, g, 0.0, 1.0))),
+             "bce": (summed(*powlog_kernel(pt, zero, 0.0, 1.0)),
+                     summed(*powlog_kernel(pt, 0.0, 0.0, 1.0)))}
+
+    on, _, _ = _afl_coeffs(pt[None], fg_index, gamma, delta)
+    g_d = on.gamma_d[0, :, None, None]
+    weighted = on.mu[0, :, None, None] * _power(1.0 - pt, g_d) * (1.0 + delta[:, None, None] * g_d)
+    return rungs, np.abs(weighted.mean(axis=(-2, -1)) - 1.0), on.gamma_a[0]

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 from scipy import ndimage
 
-from . import __version__, adaptive, attention, clicksim, gradcheck, losses, matching, synthgen, trainer
+from . import __version__, adaptive, attention, clicksim, gradcheck, matching, synthgen, trainer
 from .core import (
     ClickLabError,
     DimensionError,
@@ -111,34 +111,32 @@ def cmd_grad_check(args) -> int:
     return emit_report(args, {"suite": suite}, checks, args.out)
 
 
+# identity-check cases drawn per chunk; each chunk is evaluated with one
+# stacked pass per map shape, and at most this many 8 x 8 maps (128 KB per
+# float64 stack) are held at once however large --cases is
+IDENTITY_CHUNK = 256
+
+
 def cmd_identity_check(args) -> int:
     rng = rng_stream(args.seed, "cli/identity")
     ladder_gap = {"poly": 0.0, "focal": 0.0, "bce": 0.0}
     mu_gap = 0.0
     gamma_a_gap = 0.0
-    for _ in range(args.cases):
-        h, w = (int(rng.integers(4, 9)) for _ in range(2))
-        pred = rng.uniform(0.01, 0.99, size=(h, w))
-        gt = (rng.random((h, w)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
-        gt.flat[0] = 1
-        gamma = float(rng.uniform(0.0, 5.0))
-        alpha = float(rng.uniform(0.0, 2.0))
-        delta = float(rng.uniform(0.0, 1.0))
-
-        off = adaptive.AflParams(gamma, alpha, delta, ada_enabled=False, agr_enabled=False)
-        for rung, upper, lower in (
-                ("poly", adaptive.afl(pred, gt, off)[0], losses.poly(pred, gt, gamma, alpha)),
-                ("focal", losses.poly(pred, gt, gamma, 0.0), losses.focal(pred, gt, gamma)),
-                ("bce", losses.focal(pred, gt, 0.0), losses.bce(pred, gt))):
-            ladder_gap[rung] = max(ladder_gap[rung], abs(upper.value - lower.value),
-                                   float(np.abs(upper.grad_wrt_prob - lower.grad_wrt_prob).max()))
-
-        on = adaptive.AflParams(gamma, alpha, delta)
-        _, diag = adaptive.afl(pred, gt, on)
-        pt = pt_map(pred, gt)
-        weighted = diag.mu * (1.0 - pt) ** diag.gamma_d * (1.0 + delta * diag.gamma_d)
-        mu_gap = max(mu_gap, abs(float(weighted.mean()) - 1.0))
-        gamma_a_gap = max(gamma_a_gap, max(0.0, diag.gamma_a - 1.0), max(0.0, -diag.gamma_a))
+    for start in range(0, args.cases, IDENTITY_CHUNK):
+        groups = {}  # (h, w) -> the cases of that shape, in drawing order
+        for _ in range(min(IDENTITY_CHUNK, args.cases - start)):
+            h, w = (int(rng.integers(4, 9)) for _ in range(2))
+            pred = rng.uniform(0.01, 0.99, size=(h, w))
+            gt = (rng.random((h, w)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+            gt.flat[0] = 1
+            gamma, alpha, delta = (float(rng.uniform(0.0, hi)) for hi in (5.0, 2.0, 1.0))
+            groups.setdefault((h, w), []).append((pred, gt, gamma, alpha, delta))
+        for group in groups.values():
+            gaps, mu_res, g_a = adaptive.identity_residuals(*(np.array(v) for v in zip(*group)))
+            for rung, gap in gaps.items():
+                ladder_gap[rung] = max(ladder_gap[rung], float(gap.max()))
+            mu_gap = max(mu_gap, float(mu_res.max()))
+            gamma_a_gap = max(gamma_a_gap, float(np.maximum(g_a - 1.0, -g_a).max()))
 
     taylor_pts = np.linspace(0.6, 0.99, 40)
     taylor_gap = float(np.abs(adaptive.neg_log_series(taylor_pts, 50) + np.log(taylor_pts)).max())

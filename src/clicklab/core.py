@@ -77,8 +77,8 @@ def as_prob_map(prob) -> np.ndarray:
 def as_prob_stack(stack, shape: tuple) -> np.ndarray:
     """Validate and return a C-contiguous (K, *shape) float64 stack of probability maps."""
     arr = np.ascontiguousarray(stack, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[1:] != tuple(shape):
-        raise DimensionError(f"expected a (K, *{tuple(shape)}) stack, got shape {arr.shape}")
+    if arr.ndim != 3 or arr.size == 0 or arr.shape[1:] != tuple(shape):
+        raise DimensionError(f"expected a nonempty (K, *{tuple(shape)}) stack, got shape {arr.shape}")
     as_prob_map(arr.reshape(-1, arr.shape[-1]))  # nonempty, finite, in [0, 1]
     return arr
 
@@ -90,9 +90,13 @@ def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 def check_integers(owner, *names: str) -> None:
     for name in names:
-        value = getattr(owner, name)  # an integer as operator.index takes it, but not a bool
-        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        check_integer(name, getattr(owner, name))
+
+
+def check_integer(name: str, value) -> None:
+    # an integer as operator.index takes it, but not a bool
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def check_nonnegative(name: str, value: float) -> float:

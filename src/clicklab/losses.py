@@ -185,9 +185,10 @@ def powlog_kernel(pt: np.ndarray, g, alpha: float, mu, grad: bool = True):
     """Per-pixel values and d/d(pt) of the modulated cross-entropy family.
 
     ``pt`` must already be clamped away from 0.  ``g``, ``alpha`` and ``mu``
-    are treated as constants; ``g`` and ``mu`` are floats, or arrays of one
-    value per map shaped ``(..., 1, 1)`` against pt's (..., h, w) maps, and
-    ``mu`` may also be a per-pixel weight map that broadcasts against pt.
+    are treated as constants; each is a float, or an array of one value per
+    map shaped ``(..., 1, 1)`` against pt's (..., h, w) maps, as the identity
+    check's one pass per map shape passes them, and ``mu`` may also be a
+    per-pixel weight map that broadcasts against pt.
     Returns ``(value_px, dvalue_dpt)``; callers that need only values pass
     ``grad=False`` and get ``dvalue_dpt = None``.
     """

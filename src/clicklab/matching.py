@@ -136,7 +136,8 @@ def _cost_matrix(preds: list, gts: list, weights: LossWeights,
     for start in range(0, len(preds), rows):
         block = slice(start, start + rows)
         pt = _pt_kernel(p[block], y)
-        coeffs, omp, mod = adaptive._afl_coeffs(pt, fg_index, afl_params)
+        coeffs, omp, mod = adaptive._afl_coeffs(pt, fg_index, afl_params.gamma, afl_params.delta,
+                                                afl_params.ada_enabled, afl_params.agr_enabled)
         afl_px, _ = losses._powlog_terms(pt, omp, mod, coeffs.gamma_d[..., None, None],
                                          afl_params.alpha, coeffs.mu[..., None, None], grad=False)
         dice, _ = losses._dice_kernel(p[block], y, 1.0, grad=False)

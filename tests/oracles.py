@@ -7,7 +7,8 @@ pixel and one validated loss call at a time), one full-image pass per error
 component or click disk for click placement and click encoding, one
 full-canvas grid per synthetic shape, one query at a time through the
 decoder, one fully validated loss evaluation per matching pair, one
-validated loss call per training step, and one ``repr``, ``float`` or
+validated loss call per training step and per identity-check rung and
+case, and one ``repr``, ``float`` or
 ``int`` call per pixel of a PM or PGM file.
 """
 
@@ -38,6 +39,7 @@ from clicklab.core import (
     check_same_shape,
     iou,
     pt_map,
+    rng_stream,
 )
 
 
@@ -153,6 +155,53 @@ def reference_afl_step(pred, gt, params):
     diag = {"gamma_a": g_a, "gamma_d": g_d, "mu": mu_val, "hard_count": hard_count,
             "foreground_pt_mean": fg_pt_mean}
     return float(value_px.sum()), dvalue_dpt * chain, diag
+
+
+def reference_identity_check(seed: int, cases: int):
+    """``(results, measured)`` of ``loss identity-check`` with one validated
+    public loss call per rung and case: ``measured`` lists the invariant
+    checks' values in report order."""
+    rng = rng_stream(seed, "cli/identity")
+    ladder_gap = {"poly": 0.0, "focal": 0.0, "bce": 0.0}
+    mu_gap = 0.0
+    gamma_a_gap = 0.0
+    for _ in range(cases):
+        h, w = (int(rng.integers(4, 9)) for _ in range(2))
+        pred = rng.uniform(0.01, 0.99, size=(h, w))
+        gt = (rng.random((h, w)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+        gt.flat[0] = 1
+        gamma = float(rng.uniform(0.0, 5.0))
+        alpha = float(rng.uniform(0.0, 2.0))
+        delta = float(rng.uniform(0.0, 1.0))
+
+        off = adaptive.AflParams(gamma, alpha, delta, ada_enabled=False, agr_enabled=False)
+        for rung, upper, lower in (
+                ("poly", adaptive.afl(pred, gt, off)[0], losses.poly(pred, gt, gamma, alpha)),
+                ("focal", losses.poly(pred, gt, gamma, 0.0), losses.focal(pred, gt, gamma)),
+                ("bce", losses.focal(pred, gt, 0.0), losses.bce(pred, gt))):
+            ladder_gap[rung] = max(ladder_gap[rung], abs(upper.value - lower.value),
+                                   float(np.abs(upper.grad_wrt_prob - lower.grad_wrt_prob).max()))
+
+        on = adaptive.AflParams(gamma, alpha, delta)
+        _, diag = adaptive.afl(pred, gt, on)
+        pt = pt_map(pred, gt)
+        weighted = diag.mu * (1.0 - pt) ** diag.gamma_d * (1.0 + delta * diag.gamma_d)
+        mu_gap = max(mu_gap, abs(float(weighted.mean()) - 1.0))
+        gamma_a_gap = max(gamma_a_gap, max(0.0, diag.gamma_a - 1.0), max(0.0, -diag.gamma_a))
+
+    taylor_pts = np.linspace(0.6, 0.99, 40)
+    taylor_gap = float(np.abs(adaptive.neg_log_series(taylor_pts, 50) + np.log(taylor_pts)).max())
+    series_pts = np.array([0.6, 0.7, 0.8, 0.9, 0.99])
+    series_gap = float(np.abs(
+        adaptive.afl_grad_series(series_pts, 0.0, 0.0, 200) - 1.0 / series_pts).max())
+    const_residual = max(
+        adaptive.chebyshev_identity_check(np.full((5, 7), v), 2.0) for v in (0.3, 0.5, 0.9))
+    pair_residual = abs(adaptive.chebyshev_identity_check(np.array([0.5, 1.0]), 2.0) - 0.125)
+    sweep = [adaptive.chebyshev_identity_check(rng.uniform(0.05, 1.0, size=(8, 8)), g)
+             for g in (0.5, 1.0, 2.0, 3.0)]
+    measured = [ladder_gap["poly"], ladder_gap["focal"], ladder_gap["bce"], mu_gap, gamma_a_gap,
+                taylor_gap, series_gap, const_residual, pair_residual]
+    return {"chebyshev_residual_sweep": sweep, "cases": cases}, measured
 
 
 def reference_frozen_value_fn(name: str, pred, gt, params: dict):

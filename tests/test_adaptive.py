@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clicklab import adaptive, losses
-from clicklab.core import DimensionError, DomainError, ParameterError, rng_stream
+from clicklab.core import DimensionError, DomainError, ParameterError, pt_map, rng_stream
 from oracles import bits, central_diff, reference_afl_step, reference_afl_value
 
 ONE = np.array([[1]], dtype=np.uint8)
@@ -293,6 +293,118 @@ def test_chebyshev_worked_two_pixel_case():
 
 def test_chebyshev_single_pixel_zero():
     assert adaptive.chebyshev_identity_check(np.array([[0.7]]), 3.0) == 0.0
+
+
+PT = np.array([0.6, 0.9])
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: adaptive.mu([0.5, NAN], 2.0, 0.4), ParameterError),
+    (lambda: adaptive.mu(PT, NAN, 0.4), ParameterError),
+    (lambda: adaptive.mu(PT, math.inf, 0.4), ParameterError),
+    (lambda: adaptive.chebyshev_identity_check([0.5, NAN], 2.0), ParameterError),
+    (lambda: adaptive.chebyshev_identity_check(PT, NAN), ParameterError),
+    (lambda: adaptive.neg_log_series([0.7, NAN], 5), DomainError),
+    (lambda: adaptive.neg_log_series(PT, 2.5), ParameterError),
+    (lambda: adaptive.neg_log_series(PT, True), ParameterError),
+    (lambda: adaptive.bce_grad_series(PT, 2.5), ParameterError),
+    (lambda: adaptive.afl_grad_series(PT, math.inf, 1.0, 5), ParameterError),
+    (lambda: adaptive.afl_grad_series(PT, 2.0, NAN, 5), ParameterError),
+    (lambda: adaptive.afl_grad_series(PT, 2.0, -3.0, 5), ParameterError),
+    (lambda: adaptive.gradient_decomposition(PT, 2.0, NAN, 0.4, 5), ParameterError),
+    (lambda: adaptive.gradient_decomposition(PT, 2.0, -3.0, 0.4, 5), ParameterError),
+    (lambda: adaptive.gradient_decomposition(PT, 2.0, 1.0, 0.4, 2.5), ParameterError),
+], ids=["mu_nan_pt", "mu_nan_gamma_d", "mu_inf_gamma_d", "chebyshev_nan_pt",
+        "chebyshev_nan_gamma_d", "series_nan_pt", "series_float_terms", "series_bool_terms",
+        "bce_series_float_terms", "grad_series_inf_gamma_d", "grad_series_nan_alpha",
+        "grad_series_negative_alpha", "decomposition_nan_alpha",
+        "decomposition_negative_alpha", "decomposition_float_terms"])
+def test_verification_tools_reject_nan_and_bad_parameters(call, error):
+    with pytest.raises(error):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# the stacked identity check
+# ---------------------------------------------------------------------------
+
+def _identity_group(rng, h, w, count):
+    """``count`` maps of one shape with their parameters.  Gammas cycle
+    through values whose exponents g, g + 1 or g - 1 hit numpy's scalar fast
+    paths, and so does gamma_d on the map without foreground (gamma_a 0);
+    one map has no foreground, one no background, and some pixels
+    sit at exactly 0 or 1 so that the pt clamp and the zero chain show."""
+    pred = rng.uniform(0.0, 1.0, size=(count, h, w))
+    pred[rng.random(pred.shape) < 0.1] = 0.0
+    pred[rng.random(pred.shape) < 0.1] = 1.0
+    gt = (rng.random((count, h, w)) < rng.uniform(0.1, 0.9, size=(count, 1, 1))).astype(np.uint8)
+    gt[1] = 0
+    gt[-1] = 1
+    special = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+    gamma = np.array([special[i % 6] if i % 2 else float(rng.uniform(0.0, 5.0))
+                      for i in range(count)])
+    return pred, gt, gamma, rng.uniform(0.0, 2.0, size=count), rng.uniform(0.0, 1.0, size=count)
+
+
+def test_identity_terms_equal_one_map_public_calls_bit_for_bit():
+    # 25 shapes x 12 maps = 300 cases, each against the validated one-map calls
+    rng = rng_stream(41, "test/identity_stack")
+    for h in range(4, 9):
+        for w in range(4, 9):
+            pred, gt, gamma, alpha, delta = _identity_group(rng, h, w, 12)
+            rungs, mu_res, g_a = adaptive._identity_terms(pred, gt, gamma, alpha, delta)
+            gaps, got_mu, got_g_a = adaptive.identity_residuals(pred, gt, gamma, alpha, delta)
+            assert bits(got_mu) == bits(mu_res) and bits(got_g_a) == bits(g_a)
+            for i in range(len(pred)):
+                p, y, g, a, d = pred[i], gt[i], float(gamma[i]), float(alpha[i]), float(delta[i])
+                want = {"poly": (adaptive.afl(p, y, adaptive.AflParams(g, a, d, False, False))[0],
+                                 losses.poly(p, y, g, a)),
+                        "focal": (losses.poly(p, y, g, 0.0), losses.focal(p, y, g)),
+                        "bce": (losses.focal(p, y, 0.0), losses.bce(p, y))}
+                for rung, pair in want.items():
+                    for (values, grads), out in zip(rungs[rung], pair):
+                        assert repr(float(values[i])) == repr(out.value), (h, w, i, rung)
+                        assert bits(grads[i]) == bits(out.grad_wrt_prob), (h, w, i, rung)
+                    upper, lower = pair
+                    gap = max(abs(upper.value - lower.value),
+                              float(np.abs(upper.grad_wrt_prob - lower.grad_wrt_prob).max()))
+                    assert repr(float(gaps[rung][i])) == repr(gap)
+                _, diag = adaptive.afl(p, y, adaptive.AflParams(g, a, d))
+                weighted = diag.mu * (1.0 - pt_map(p, y)) ** diag.gamma_d * (1.0 + d * diag.gamma_d)
+                assert repr(float(mu_res[i])) == repr(abs(float(weighted.mean()) - 1.0))
+                assert repr(float(g_a[i])) == repr(diag.gamma_a)
+
+
+def test_identity_residuals_check_the_stack_once():
+    rng = rng_stream(43, "test/identity_bounds")
+    pred, gt, gamma, alpha, delta = _identity_group(rng, 5, 6, 3)
+    adaptive.identity_residuals(pred, gt, gamma, alpha, delta)
+
+    def swap(i, value):
+        args = [pred, gt, gamma, alpha, delta]
+        args[i] = value
+        return args
+
+    nan_pred = pred.copy()
+    nan_pred[1, 2, 3] = NAN
+    bad_gt = gt.copy()
+    bad_gt[2, 0, 0] = 2
+    for args, error in [
+            (swap(0, nan_pred), ParameterError), (swap(0, pred + 0.5), ParameterError),
+            (swap(1, bad_gt), ParameterError), (swap(0, pred[:2]), DimensionError),
+            (swap(0, pred[:, :, :5]), DimensionError), (swap(1, gt[0]), DimensionError),
+            (swap(1, gt[:0]), DimensionError), (swap(1, gt[:, :, :0]), DimensionError),
+            ([pred[:, :, :0], gt[:, :, :0], gamma, alpha, delta], DimensionError),
+            (swap(2, gamma[:2]), ParameterError), (swap(3, 1.0), ParameterError),
+            (swap(2, np.array([1.0, NAN, 2.0])), ParameterError),
+            (swap(2, np.array([1.0, 5.5, 2.0])), ParameterError),
+            (swap(3, np.array([1.0, math.inf, 2.0])), ParameterError),
+            (swap(3, np.array([1.0, -0.1, 2.0])), ParameterError),
+            (swap(4, np.array([0.5, 1.2, 0.0])), ParameterError),
+            (swap(4, np.array([0.5, NAN, 0.0])), ParameterError)]:
+        with pytest.raises(error):
+            adaptive.identity_residuals(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import clicklab
+from clicklab import cli
 from clicklab.cli import build_parser, main
 from clicklab.fileio import read_pm, write_pgm, write_pm
 from clicklab.losses import _LOSS_PARAMS, grad_stats, make_loss
+from oracles import reference_identity_check
 
 
 @pytest.fixture()
@@ -110,6 +112,25 @@ def test_identity_check_all_pass(capsys):
     assert "mu/mean_identity" in names
     assert all(c["pass"] for c in report["invariant_checks"])
     assert all("tolerance" in c for c in report["invariant_checks"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("cases", [1, 25, 100])
+def test_identity_check_report_equals_one_call_per_case_reference(capsys, seed, cases):
+    code, report = run_cli(capsys, "loss", "identity-check", "--seed", str(seed),
+                           "--cases", str(cases))
+    results, measured = reference_identity_check(seed, cases)
+    assert code == 0
+    assert report["results"] == results
+    assert [repr(c["measured"]) for c in report["invariant_checks"]] == [repr(m) for m in measured]
+
+
+def test_identity_check_report_independent_of_chunk_size(capsys, monkeypatch):
+    argv = ("loss", "identity-check", "--seed", "4", "--cases", "40")
+    _, whole = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "IDENTITY_CHUNK", 7)
+    _, chunked = run_cli(capsys, *argv)
+    assert chunked == whole
 
 
 def test_curve_grid_size_and_focal_coincidence(capsys, tmp_path):
