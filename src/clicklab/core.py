@@ -154,8 +154,9 @@ def binarize(pred) -> np.ndarray:
 # counter-based streams and the same (seed, label) pair is bit-reproducible.
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
-    """Counter-based generator for the given seed and stream label."""
-    if not (0 <= int(seed) < 2 ** 64):
+    """Counter-based generator for the given integer seed and stream label."""
+    check_integer("seed", seed)
+    if not (0 <= seed < 2 ** 64):
         raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     label_word = int.from_bytes(digest[:8], "little")

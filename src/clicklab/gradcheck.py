@@ -2,13 +2,19 @@
 
 The finite-difference side only ever evaluates loss *values*, so it is an
 independent oracle for the hand-derived gradients.  Map-level coefficients
-(the nfl normalizer; the adaptive exponent and scale) are frozen at their
-base-point values before differencing, because the analytic gradients are
-defined with those coefficients detached.
+(the nfl normalizer; the adaptive exponent and scale; the wbce and
+balanced_ce class weights) are frozen at their base-point values before
+differencing, because the analytic gradients are defined with those
+coefficients detached.
 
-Each case makes one value-only call on the (2*h*w, h, w) stack of all +-h
-one-pixel perturbations, validated once and reduced per map by the trusted
-kernels of the public losses; the values equal a one-pixel loop's bit for bit.
+``check_loss_gradients`` draws its cases in chunks of ``GRAD_CHUNK`` and
+evaluates each chunk's K cases of one map shape together: their analytic
+gradients come from one stacked call, and their finite differences from one
+value-only call on the (K, 2*h*w, h, w) stack of all +-h one-pixel
+perturbations, validated once.  One dispatch on the loss name,
+``_loss_terms``, runs the trusted kernels of the public losses for both
+sides, and every gradient and difference equals that of the one-case path
+(one loss call, one pixel at a time) bit for bit.
 
 Comparison rule: |analytic - fd| <= atol + rtol*|fd|, reported as
 max |a-f| / (atol/rtol + |f|) against rtol.  The atol term is the noise
@@ -21,7 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .core import ParameterError, _pt_kernel, as_prob_stack, rng_stream
+from .adaptive import _afl_coeffs
+from .core import (DEFAULT_EPS_CLIP, DimensionError, ParameterError, _pt_kernel, as_binary_mask,
+                   as_prob_stack, check_integer, check_same_shape, rng_stream)
 
 DEFAULT_H = 1e-6
 DEFAULT_RTOL = 1e-5
@@ -29,23 +37,30 @@ DEFAULT_ATOL = 1e-7
 
 CHECKED_LOSSES = tuple(losses._LOSS_PARAMS)
 
+# cases drawn per chunk; the finite-difference stack holds 2*(h*w)**2 floats
+# per case, so one shape group of a chunk holds at most 48 * 20 KB, about
+# 1 MB, for 6 x 6 maps however large ``cases`` is
+GRAD_CHUNK = 48
+
 
 def central_difference_grad(value_fn, prob: np.ndarray) -> np.ndarray:
     """Per-pixel (V(p+h) - V(p-h)) / 2h with h = DEFAULT_H, from one call.
 
-    ``value_fn`` maps a (2n, h, w) stack, n = h*w, to its (2n,) values.  Row
-    i of the stack is ``prob`` with pixel i raised by h, row n+i is it with
-    pixel i lowered by h.  The stack holds 2n^2 floats, so this is meant for
-    the small maps the suite draws.
+    ``prob`` holds maps on its last two axes, after any leading axes L, and
+    ``value_fn`` maps the (*L, 2n, h, w) stack, n = h*w, to its (*L, 2n)
+    values.  Row i of a map's stack is the map with pixel i raised by h, row
+    n+i the map with pixel i lowered by h.  The stack holds 2n^2 floats per
+    map, so this is meant for the small maps the suite draws.
     """
     prob = np.asarray(prob, dtype=np.float64)
-    n = prob.size
-    stack = np.tile(prob.ravel(), (2 * n, 1))
-    rows = np.arange(n)
-    stack[rows, rows] += DEFAULT_H
-    stack[n + rows, rows] -= DEFAULT_H
-    values = value_fn(stack.reshape(2 * n, *prob.shape))
-    return ((values[:n] - values[n:]) / (2.0 * DEFAULT_H)).reshape(prob.shape)
+    *lead, h, w = prob.shape
+    n = h * w
+    stack = np.repeat(prob.reshape(*lead, 1, n), 2 * n, axis=-2)
+    diagonals = stack.reshape(*lead, 2, n * n)[..., :: n + 1]  # pixel i of rows i and n+i
+    diagonals[..., 0, :] += DEFAULT_H
+    diagonals[..., 1, :] -= DEFAULT_H
+    values = value_fn(stack.reshape(*lead, 2 * n, h, w))
+    return ((values[..., :n] - values[..., n:]) / (2.0 * DEFAULT_H)).reshape(prob.shape)
 
 
 def _random_case(rng, for_loss: str):
@@ -74,40 +89,113 @@ def _random_case(rng, for_loss: str):
 
 def _analytic_and_frozen(name: str, pred, gt, params):
     """The analytic gradient at a drawn case's (trusted) ``pred`` plus the
-    value function of a stack of maps, with every map-level coefficient
-    frozen at ``pred``."""
-    target = losses.Target(gt)
-    _, analytic, diag = losses.make_loss(name, **params).bind(target)(pred)
-    yf = target.yf
-    weighted = name in ("wbce", "balanced_ce")  # frozen class weights as mu
-    mu = losses._ce_weights(name, diag["beta"], target) if weighted else diag.get("mu", 1.0)
+    value function of a (S, h, w) stack of maps, with every map-level
+    coefficient frozen at ``pred``: ``_stacked_terms`` of one case."""
+    analytic, values = _stacked_terms(name, np.asarray(pred)[None], [gt], [params])
+    return analytic[0], lambda stack: values(np.asarray(stack)[None])[0]
+
+
+def _stacked_terms(name: str, preds: np.ndarray, gts, params_list):
+    """The (K, h, w) analytic gradients of K drawn cases of one map shape,
+    from one stacked call, plus the value function of a (K, S, h, w) stack,
+    with each case's map-level coefficients frozen at its drawn map.
+
+    Each case's parameters (as ``_random_case`` draws them) are checked as
+    ``make_loss`` checks them and the masks once; ``preds`` is trusted."""
+    for params in params_list:
+        losses.make_loss(name, **params)
+    k, h, w = preds.shape
+    gts = np.asarray(gts)
+    check_same_shape(gts, preds)
+    y = as_binary_mask(gts.reshape(-1, w)).reshape(k, 1, h, w)
+    per_map = {key: np.array([p.get(key, default) for p in params_list],  # auto beta: NaN
+                             dtype=np.float64).reshape(k, 1, 1, 1)
+               for key, default in losses._LOSS_PARAMS[name].items()}
+    analytic, frozen = _loss_terms(name, np.ascontiguousarray(preds, dtype=np.float64)[:, None],
+                                   y, per_map)
 
     def values(stack):
-        p = as_prob_stack(stack, yf.shape)
-        if name == "dice":
-            return losses._dice_kernel(p, yf, params["smooth"], grad=False)[0]
-        if name == "soft_iou":
-            return losses._soft_iou_kernel(p, yf, grad=False)[0]
-        value_px, _ = losses.powlog_kernel(
-            _pt_kernel(p, target.mask), diag.get("gamma_d", params.get("gamma", 0.0)),
-            params.get("alpha", 0.0), mu, grad=False)
-        return diag.get("nfl_scale", 1.0) * value_px.sum(axis=(-2, -1))
+        stack = np.asarray(stack)
+        if stack.ndim != 4 or stack.shape[0] != k:
+            raise DimensionError(f"expected a ({k}, S, {h}, {w}) stack, got shape {stack.shape}")
+        p = as_prob_stack(stack.reshape(-1, *stack.shape[2:]), (h, w))
+        return _loss_terms(name, p.reshape(stack.shape), y, per_map, frozen)
 
-    return analytic, values
+    return analytic[:, 0], values
+
+
+def _loss_terms(name: str, p, y, params, frozen=None):
+    """Every checked loss on a trusted (K, M, h, w) stack ``p`` against
+    (K, 1, h, w) {0, 1} masks ``y``, with ``params`` holding one (K, 1, 1, 1)
+    value per map of each parameter the loss takes; a loss that takes no
+    gamma or alpha runs with the float 0, as its one-map step does.
+
+    Without ``frozen``: the (K, M, h, w) gradients wrt ``p`` and the
+    map-level coefficients of ``p`` (M = 1): the nfl scale, AFL's gamma_d and
+    mu, and the wbce and balanced_ce class weights.  With those coefficients:
+    the (K, M) values with them held fixed.  Each exponent is broadcast to
+    (K, M, 1, 1), the per-map shape whose ``[..., 0, 0]`` ``losses._power``
+    indexes to recompute numpy's fast-path exponents."""
+    grad = frozen is None
+    if name in ("dice", "soft_iou"):  # no map-level coefficient
+        yf = y.astype(np.float64)
+        value, dvalue = (losses._dice_kernel(p, yf, params["smooth"][..., 0, 0], grad)
+                         if name == "dice" else losses._soft_iou_kernel(p, yf, grad))
+        return (dvalue, {}) if grad else value
+    pt = _pt_kernel(p, y)
+    alpha = params.get("alpha", 0.0)
+    if not grad:
+        g = frozen["gamma"]
+        if isinstance(g, np.ndarray):
+            g = np.broadcast_to(g, pt.shape[:2] + (1, 1))
+        value_px, _ = losses.powlog_kernel(pt, g, alpha, frozen["mu"], grad=False)
+        return frozen["scale"] * value_px.sum(axis=(-2, -1))
+    omp = 1.0 - pt
+    g, mu, scale = params.get("gamma", 0.0), 1.0, 1.0
+    if name == "afl":  # ADA and AGR on, as drawn
+        coeffs, _, mod = _afl_coeffs(pt[:, 0][None], [np.flatnonzero(m) for m in y],
+                                     g.ravel(), params["delta"].ravel())
+        g, mu = (v.reshape(g.shape) for v in (coeffs.gamma_d, coeffs.mu))
+        mod = mod[0][:, None]
+    else:
+        mod = losses._power(omp, g)
+    if name in ("wbce", "balanced_ce"):
+        beta = params["beta"].copy()
+        auto = np.isnan(beta[:, 0, 0, 0])
+        if auto.any():
+            beta[auto, 0, 0, 0] = losses._auto_beta(y[auto, 0])
+        mu = losses._ce_weights(name, beta, y == 1)
+    _, dvalue = losses._powlog_terms(pt, omp, mod, g, alpha, mu)
+    if name == "nfl":
+        norm = mod.sum(axis=(-2, -1))
+        scale = np.divide(pt.shape[-2] * pt.shape[-1], norm, out=np.zeros_like(norm),
+                          where=norm != 0.0)
+        dvalue *= scale[..., None, None]
+    dvalue *= np.where(y == 1, 1.0, -1.0) * (pt > DEFAULT_EPS_CLIP)
+    return dvalue, {"gamma": g, "mu": mu, "scale": scale}
 
 
 def check_loss_gradients(name: str, cases: int, seed: int) -> dict:
     """Run ``cases`` seeded random configurations for one loss."""
     if name not in CHECKED_LOSSES:
         raise ParameterError(f"no gradient check defined for loss {name!r}")
+    check_integer("cases", cases)
+    if cases < 1:
+        raise ParameterError(f"cases must be >= 1, got {cases}")
     rng = rng_stream(seed, f"gradcheck/{name}")
     worst = 0.0
-    for _ in range(cases):
-        pred, gt, params = _random_case(rng, name)
-        analytic, value_fn = _analytic_and_frozen(name, pred, gt, params)
-        fd = central_difference_grad(value_fn, pred)
-        rel = np.abs(analytic - fd) / (DEFAULT_ATOL / DEFAULT_RTOL + np.abs(fd))
-        worst = max(worst, float(rel.max()))
+    for start in range(0, cases, GRAD_CHUNK):
+        groups = {}  # (h, w) -> the chunk's cases of that shape, in drawing order
+        for _ in range(min(GRAD_CHUNK, cases - start)):
+            pred, gt, params = _random_case(rng, name)
+            groups.setdefault(pred.shape, []).append((pred, gt, params))
+        for group in groups.values():
+            preds, gts, params = zip(*group)
+            preds = np.array(preds)
+            analytic, values = _stacked_terms(name, preds, gts, params)
+            fd = central_difference_grad(values, preds)
+            rel = np.abs(analytic - fd) / (DEFAULT_ATOL / DEFAULT_RTOL + np.abs(fd))
+            worst = max(worst, float(rel.max()))
     return {
         "loss": name,
         "cases": cases,

@@ -162,19 +162,27 @@ def _weighted_ce_step(target: Target, kind: str, beta):
     """wbce and balanced_ce: bce's step with the per-pixel class weights as mu.
     ``beta`` was checked; wbce's auto-beta (None) is fixed against ``target``."""
     if beta is None:
-        positives = int(np.count_nonzero(target.mask))
-        if positives in (0, target.mask.size):
-            raise ParameterError(f"wbce auto-beta needs both classes, got {positives} of "
-                                 f"{target.mask.size} gt pixels in the foreground")
-        beta = (target.mask.size - positives) / positives
-    return _powlog_step(target, 0.0, 0.0, mu=_ce_weights(kind, beta, target),
+        beta = float(_auto_beta(target.mask))
+    return _powlog_step(target, 0.0, 0.0, mu=_ce_weights(kind, beta, target.fg),
                         diagnostics={"beta": beta})
 
 
-def _ce_weights(kind: str, beta: float, target: Target) -> np.ndarray:
+def _auto_beta(mask: np.ndarray):
+    """wbce's automatic beta, negatives / positives, of each trusted (..., h, w)
+    {0, 1} mask; a mask of one class raises."""
+    positives = np.count_nonzero(mask, axis=(-2, -1))
+    size = mask.shape[-2] * mask.shape[-1]
+    if ((positives == 0) | (positives == size)).any():
+        raise ParameterError(f"wbce auto-beta needs both classes, got {positives} of "
+                             f"{size} gt pixels in the foreground")
+    return (size - positives) / positives
+
+
+def _ce_weights(kind: str, beta, fg: np.ndarray) -> np.ndarray:
     """The per-pixel class weights of 'wbce', else of 'balanced_ce', against
-    ``target``: beta on the foreground, 1 or 1 - beta elsewhere."""
-    return np.where(target.fg, beta, 1.0 if kind == "wbce" else 1.0 - beta)
+    the foreground ``fg``: beta on it, 1 or 1 - beta elsewhere.  ``beta`` is
+    a float, or one value per map shaped (..., 1, 1) against fg's maps."""
+    return np.where(fg, beta, 1.0 if kind == "wbce" else 1.0 - beta)
 
 
 # ---------------------------------------------------------------------------

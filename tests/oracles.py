@@ -8,7 +8,7 @@ component or click disk for click placement and click encoding, one
 full-canvas grid per synthetic shape, one query at a time through the
 decoder, one fully validated loss evaluation per matching pair, one
 validated loss call per training step and per identity-check rung and
-case, and one ``repr``, ``float`` or
+case, one gradient check per drawn case, and one ``repr``, ``float`` or
 ``int`` call per pixel of a PM or PGM file.
 """
 
@@ -24,7 +24,7 @@ from scipy.special import expit
 
 from scipy.optimize import linear_sum_assignment
 
-from clicklab import adaptive, attention, losses, matching, trainer
+from clicklab import adaptive, attention, gradcheck, losses, matching, trainer
 from clicklab.clicksim import ClickRecord, interior_point
 from clicklab.core import (
     DEFAULT_EPS_CLIP,
@@ -215,6 +215,22 @@ def reference_frozen_value_fn(name: str, pred, gt, params: dict):
         return lambda p: scale * losses.focal(p, gt, params["gamma"]).value
     fn = losses.make_loss(name, **params)
     return lambda p: fn(p, gt).value
+
+
+def reference_check_loss_gradients(name: str, cases: int, seed: int) -> dict:
+    """``gradcheck.check_loss_gradients`` one case at a time: one analytic
+    gradient and one finite-difference call on the (2*h*w, h, w) stack of
+    each drawn case, with no grouping or chunking."""
+    rng = rng_stream(seed, f"gradcheck/{name}")
+    worst = 0.0
+    for _ in range(cases):
+        pred, gt, params = gradcheck._random_case(rng, name)
+        analytic, value_fn = gradcheck._analytic_and_frozen(name, pred, gt, params)
+        fd = gradcheck.central_difference_grad(value_fn, pred)
+        rel = np.abs(analytic - fd) / (gradcheck.DEFAULT_ATOL / gradcheck.DEFAULT_RTOL + np.abs(fd))
+        worst = max(worst, float(rel.max()))
+    return {"loss": name, "cases": cases, "max_rel_err": worst,
+            "tolerance": gradcheck.DEFAULT_RTOL, "pass": worst <= gradcheck.DEFAULT_RTOL}
 
 
 def reference_next_click(pred, gt, prior=()) -> ClickRecord:

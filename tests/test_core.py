@@ -159,3 +159,19 @@ def test_rng_streams_reproducible_and_split():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("seed", [2.9, 7.0, True, "7", float("nan"), np.float64(3.0), None])
+def test_rng_stream_rejects_a_non_integer_seed(seed):
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        rng_stream(seed, "module/x")
+
+
+def test_rng_stream_takes_numpy_integer_seeds():
+    expected = rng_stream(42, "module/x").random(5)
+    for seed in (np.int64(42), np.uint64(42), np.uint8(42)):
+        np.testing.assert_array_equal(rng_stream(seed, "module/x").random(5), expected)
+    rng_stream(2 ** 64 - 1, "module/x")
+    for seed in (-1, 2 ** 64, np.int64(-1)):
+        with pytest.raises(ParameterError, match="unsigned 64-bit"):
+            rng_stream(seed, "module/x")
