@@ -13,11 +13,11 @@ Final per-pixel form:  -mu*(1-pt)^gamma_d*log(pt) + alpha*(1-pt)^(gamma_d+1).
 
 Both coefficients are computed from the clamped pt map and detached: the
 analytic gradient differentiates through pt only.  One routine,
-``_afl_coeffs``, computes them for a stack of maps; the bound training step
-passes its one map as a (1, 1, h, w) stack, the matching cost a block of
-prediction rows against every ground truth, and ``identity_residuals`` (the
-``loss identity-check`` pass, one call per map shape) a (1, K, h, w) stack of
-K maps with per-map exponents.  With ADA and AGR disabled
+``_afl_coeffs``, computes them for a stack of maps: a bound step (through
+``losses._loss_terms``) passes its one map as a (1, 1, h, w) stack, the
+gradient check and ``identity_residuals`` (one call per map shape) K maps
+with per-map exponents as a (1, K, h, w) stack, and the matching cost a
+block of prediction rows against every ground truth.  With ADA and AGR disabled
 (gamma_a := 0, mu := 1) the loss collapses to poly, then focal (alpha=0),
 then bce (gamma=0) -- bit-exactly, since all share one kernel.
 
@@ -35,7 +35,8 @@ import numpy as np
 
 from .core import (DEFAULT_EPS_CLIP, DimensionError, DomainError, ParameterError, _pt_kernel,
                    as_binary_mask, as_prob_stack, check_integer, check_nonnegative)
-from .losses import Loss, LossOutput, _check_gamma, _power, _powlog_terms, powlog_kernel
+from .losses import (Loss, LossOutput, _bound_step, _check_gamma, _power, _powlog_terms,
+                     powlog_kernel)
 
 MU_FLOOR_PER_PIXEL = 1e-12  # caps mu at 1e12 when the map is near perfect
 
@@ -108,22 +109,7 @@ def afl(pred, gt, params: AflParams = AflParams()) -> tuple[LossOutput, AflDiagn
 
 def afl_loss(params: AflParams = AflParams()) -> Loss:
     """The adaptive focal loss as a :class:`~clicklab.losses.Loss`."""
-    return Loss(partial(_afl_step, params=params))
-
-
-def _afl_step(target, params: AflParams):
-    fg_index = [target.fg_index]
-
-    def step(p):
-        pt, chain = target.pt_and_chain(p)
-        coeffs, omp, mod = _afl_coeffs(pt[None, None], fg_index, params.gamma, params.delta,
-                                       params.ada_enabled, params.agr_enabled)
-        diag = {k: v.item() for k, v in vars(coeffs).items()}
-        value_px, grad = _powlog_terms(pt, omp[0, 0], mod[0, 0], diag["gamma_d"], params.alpha,
-                                       diag["mu"])
-        grad *= chain
-        return float(value_px.sum()), grad, diag
-    return step
+    return Loss(partial(_bound_step, name="afl", params=vars(params)))
 
 
 def _afl_coeffs(pt: np.ndarray, fg_index: list, gamma, delta, ada_enabled: bool = True,
@@ -133,10 +119,10 @@ def _afl_coeffs(pt: np.ndarray, fg_index: list, gamma, delta, ada_enabled: bool 
 
     ``pt`` is a (K, M, h, w) stack whose column j is paired with the flat
     row-major foreground indices ``fg_index[j]`` of its ground truth; one
-    map is the (1, 1, h, w) case, and the identity check's shape group of K
-    maps the (1, K, h, w) case.  The checked ``gamma`` and ``delta`` are
+    map is the (1, 1, h, w) case, and a shape group of K maps the (1, K, h, w)
+    case.  The checked ``gamma`` and ``delta`` are
     floats, or arrays of one value per map that broadcast against the (K, M)
-    coefficients, such as the identity check's (K,) arrays against (1, K).
+    coefficients, such as a stacked pass's (K,) arrays against (1, K).
     Returns ``(diagnostics, omp, mod)``; the diagnostics' fields are (K, M)
     arrays, except the (M,) ``hard_count``.  Each map's coefficients equal
     those of ``pt[fg].mean()`` and of Python-float exponents bit for bit: the

@@ -11,10 +11,10 @@ coefficients detached.
 evaluates each chunk's K cases of one map shape together: their analytic
 gradients come from one stacked call, and their finite differences from one
 value-only call on the (K, 2*h*w, h, w) stack of all +-h one-pixel
-perturbations, validated once.  One dispatch on the loss name,
-``_loss_terms``, runs the trusted kernels of the public losses for both
-sides, and every gradient and difference equals that of the one-case path
-(one loss call, one pixel at a time) bit for bit.
+perturbations, validated once.  Both sides run ``losses._loss_terms``, the
+dispatch on the loss name that every bound loss step runs on its one map,
+and every gradient and difference equals that of the one-case path (one
+loss call, one pixel at a time) bit for bit.
 
 Comparison rule: |analytic - fd| <= atol + rtol*|fd|, reported as
 max |a-f| / (atol/rtol + |f|) against rtol.  The atol term is the noise
@@ -27,9 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .adaptive import _afl_coeffs
-from .core import (DEFAULT_EPS_CLIP, DimensionError, ParameterError, _pt_kernel, as_binary_mask,
-                   as_prob_stack, check_integer, check_same_shape, rng_stream)
+from .core import (DimensionError, ParameterError, as_binary_mask, as_prob_stack, check_integer,
+                   check_same_shape, rng_stream)
 
 DEFAULT_H = 1e-6
 DEFAULT_RTOL = 1e-5
@@ -97,82 +96,42 @@ def _analytic_and_frozen(name: str, pred, gt, params):
 
 def _stacked_terms(name: str, preds: np.ndarray, gts, params_list):
     """The (K, h, w) analytic gradients of K drawn cases of one map shape,
-    from one stacked call, plus the value function of a (K, S, h, w) stack,
-    with each case's map-level coefficients frozen at its drawn map.
+    from one stacked call of ``losses._loss_terms``, plus the value function
+    of a (K, S, h, w) stack, with each case's map-level coefficients frozen
+    at its drawn map.
 
-    Each case's parameters (as ``_random_case`` draws them) are checked as
-    ``make_loss`` checks them and the masks once; ``preds`` is trusted."""
+    Each case's parameters are checked as ``make_loss`` checks them and the
+    masks once; ``preds`` is trusted.  AFL's flags are one per call, so its
+    cases must share them."""
     for params in params_list:
         losses.make_loss(name, **params)
     k, h, w = preds.shape
     gts = np.asarray(gts)
     check_same_shape(gts, preds)
-    y = as_binary_mask(gts.reshape(-1, w)).reshape(k, 1, h, w)
-    per_map = {key: np.array([p.get(key, default) for p in params_list],  # auto beta: NaN
-                             dtype=np.float64).reshape(k, 1, 1, 1)
-               for key, default in losses._LOSS_PARAMS[name].items()}
-    analytic, frozen = _loss_terms(name, np.ascontiguousarray(preds, dtype=np.float64)[:, None],
-                                   y, per_map)
+    target = losses.Target.stack(as_binary_mask(gts.reshape(-1, w)).reshape(k, h, w))
+    per_map = {}
+    for key, default in losses._LOSS_PARAMS[name].items():
+        given = [p.get(key, default) for p in params_list]
+        if isinstance(default, bool):
+            if len(set(given)) > 1:
+                raise ParameterError(f"one stacked call takes one {key}, got {given}")
+            per_map[key] = given[0]
+        else:  # wbce's automatic beta, None, is NaN until fixed against its mask
+            per_map[key] = np.array(given, dtype=np.float64).reshape(k, 1, 1, 1)
+    if name == "wbce":
+        auto = np.isnan(per_map["beta"][:, 0, 0, 0])
+        per_map["beta"][auto, 0, 0, 0] = losses._auto_beta(target.mask[auto, 0])
+    p = np.ascontiguousarray(preds, dtype=np.float64)[:, None]
+    _, analytic, diag = losses._loss_terms(name, p, target, per_map)
 
     def values(stack):
         stack = np.asarray(stack)
         if stack.ndim != 4 or stack.shape[0] != k:
             raise DimensionError(f"expected a ({k}, S, {h}, {w}) stack, got shape {stack.shape}")
         p = as_prob_stack(stack.reshape(-1, *stack.shape[2:]), (h, w))
-        return _loss_terms(name, p.reshape(stack.shape), y, per_map, frozen)
+        return losses._loss_terms(name, p.reshape(stack.shape), target, per_map, diag)
 
     return analytic[:, 0], values
-
-
-def _loss_terms(name: str, p, y, params, frozen=None):
-    """Every checked loss on a trusted (K, M, h, w) stack ``p`` against
-    (K, 1, h, w) {0, 1} masks ``y``, with ``params`` holding one (K, 1, 1, 1)
-    value per map of each parameter the loss takes; a loss that takes no
-    gamma or alpha runs with the float 0, as its one-map step does.
-
-    Without ``frozen``: the (K, M, h, w) gradients wrt ``p`` and the
-    map-level coefficients of ``p`` (M = 1): the nfl scale, AFL's gamma_d and
-    mu, and the wbce and balanced_ce class weights.  With those coefficients:
-    the (K, M) values with them held fixed.  Each exponent is broadcast to
-    (K, M, 1, 1), the per-map shape whose ``[..., 0, 0]`` ``losses._power``
-    indexes to recompute numpy's fast-path exponents."""
-    grad = frozen is None
-    if name in ("dice", "soft_iou"):  # no map-level coefficient
-        yf = y.astype(np.float64)
-        value, dvalue = (losses._dice_kernel(p, yf, params["smooth"][..., 0, 0], grad)
-                         if name == "dice" else losses._soft_iou_kernel(p, yf, grad))
-        return (dvalue, {}) if grad else value
-    pt = _pt_kernel(p, y)
-    alpha = params.get("alpha", 0.0)
-    if not grad:
-        g = frozen["gamma"]
-        if isinstance(g, np.ndarray):
-            g = np.broadcast_to(g, pt.shape[:2] + (1, 1))
-        value_px, _ = losses.powlog_kernel(pt, g, alpha, frozen["mu"], grad=False)
-        return frozen["scale"] * value_px.sum(axis=(-2, -1))
-    omp = 1.0 - pt
-    g, mu, scale = params.get("gamma", 0.0), 1.0, 1.0
-    if name == "afl":  # ADA and AGR on, as drawn
-        coeffs, _, mod = _afl_coeffs(pt[:, 0][None], [np.flatnonzero(m) for m in y],
-                                     g.ravel(), params["delta"].ravel())
-        g, mu = (v.reshape(g.shape) for v in (coeffs.gamma_d, coeffs.mu))
-        mod = mod[0][:, None]
-    else:
-        mod = losses._power(omp, g)
-    if name in ("wbce", "balanced_ce"):
-        beta = params["beta"].copy()
-        auto = np.isnan(beta[:, 0, 0, 0])
-        if auto.any():
-            beta[auto, 0, 0, 0] = losses._auto_beta(y[auto, 0])
-        mu = losses._ce_weights(name, beta, y == 1)
-    _, dvalue = losses._powlog_terms(pt, omp, mod, g, alpha, mu)
-    if name == "nfl":
-        norm = mod.sum(axis=(-2, -1))
-        scale = np.divide(pt.shape[-2] * pt.shape[-1], norm, out=np.zeros_like(norm),
-                          where=norm != 0.0)
-        dvalue *= scale[..., None, None]
-    dvalue *= np.where(y == 1, 1.0, -1.0) * (pt > DEFAULT_EPS_CLIP)
-    return dvalue, {"gamma": g, "mu": mu, "scale": scale}
 
 
 def check_loss_gradients(name: str, cases: int, seed: int) -> dict:

@@ -73,6 +73,13 @@ class Target:
     def __init__(self, gt):
         self.mask = as_binary_mask(gt)  # (h, w) uint8 in {0, 1}
 
+    @classmethod
+    def stack(cls, masks: np.ndarray) -> Target:
+        """K trusted (h, w) {0, 1} masks as one (K, 1, h, w) target."""
+        target = cls.__new__(cls)
+        target.mask = masks[:, None]
+        return target
+
     @cached_property
     def fg(self) -> np.ndarray:
         return self.mask == 1
@@ -83,19 +90,14 @@ class Target:
         return np.where(self.fg, 1.0, -1.0)
 
     @cached_property
-    def fg_index(self) -> np.ndarray:
-        """Flat row-major indices of the foreground."""
-        return np.flatnonzero(self.fg)
+    def fg_index(self) -> list:
+        """Flat row-major indices of the foreground, one array per mask."""
+        h, w = self.fg.shape[-2:]
+        return [np.flatnonzero(m) for m in self.fg.reshape(-1, h * w)]
 
     @cached_property
     def yf(self) -> np.ndarray:
         return self.mask.astype(np.float64)
-
-    def pt_and_chain(self, p: np.ndarray):
-        """Clamped pt of a trusted map ``p`` and the d(pt)/d(p) chain factor,
-        0 inside the clamp."""
-        pt = _pt_kernel(p, self.mask)
-        return pt, self.sign * (pt > DEFAULT_EPS_CLIP)  # exactly where unclamped
 
 
 class Loss:
@@ -118,33 +120,17 @@ class Loss:
         return LossOutput(*self.bind(target)(p))
 
 
-def _powlog_step(target: Target, gamma, alpha: float, normalized: bool = False, mu=1.0,
-                 diagnostics=None):
-    """bce, focal and poly, times ``mu``; with ``normalized``, nfl (see
-    make_loss).  Each step returns a copy of ``diagnostics`` (default empty)."""
-    def step(p):
-        pt, chain = target.pt_and_chain(p)
-        omp = 1.0 - pt
-        mod = omp ** gamma
-        value_px, grad = _powlog_terms(pt, omp, mod, gamma, alpha, mu)
-        diag = dict(diagnostics or {})
-        if normalized:
-            norm = float(mod.sum())
-            if norm == 0.0:
-                return 0.0, np.zeros_like(pt), {"nfl_scale": 0.0}
-            scale = diag["nfl_scale"] = pt.size / norm
-            value_px *= scale
-            grad *= scale
-        grad *= chain
-        return float(value_px.sum()), grad, diag
-    return step
+def _bound_step(target: Target, name: str, params: dict):
+    """The step of the loss ``name`` with the checked ``params`` on one map of
+    ``target``: ``_loss_terms`` of that map, with wbce's automatic beta
+    (None) fixed against ``target`` when bound."""
+    if "beta" in params:
+        beta = params["beta"]
+        params = dict(params, beta=_auto_beta(target.mask) if beta is None else np.float64(beta))
 
-
-def _ratio_step(target: Target, kernel):
-    """dice or soft-IoU: ``kernel(p, yf)`` is already one value per map."""
     def step(p):
-        value, grad = kernel(p, target.yf)
-        return float(value), grad, {}
+        value, grad, diag = _loss_terms(name, p, target, params)
+        return float(value), grad, {key: v.item() for key, v in diag.items()}
     return step
 
 
@@ -156,15 +142,6 @@ def _check_beta(kind: str, beta):
     elif beta is None or not (0.0 < beta < 1.0):
         raise ParameterError(f"balanced_ce needs beta in (0, 1), got {beta}")
     return None if beta is None else float(beta)
-
-
-def _weighted_ce_step(target: Target, kind: str, beta):
-    """wbce and balanced_ce: bce's step with the per-pixel class weights as mu.
-    ``beta`` was checked; wbce's auto-beta (None) is fixed against ``target``."""
-    if beta is None:
-        beta = float(_auto_beta(target.mask))
-    return _powlog_step(target, 0.0, 0.0, mu=_ce_weights(kind, beta, target.fg),
-                        diagnostics={"beta": beta})
 
 
 def _auto_beta(mask: np.ndarray):
@@ -194,8 +171,8 @@ def powlog_kernel(pt: np.ndarray, g, alpha: float, mu, grad: bool = True):
 
     ``pt`` must already be clamped away from 0.  ``g``, ``alpha`` and ``mu``
     are treated as constants; each is a float, or an array of one value per
-    map shaped ``(..., 1, 1)`` against pt's (..., h, w) maps, as the identity
-    check's one pass per map shape passes them, and ``mu`` may also be a
+    map shaped ``(..., 1, 1)`` against pt's (..., h, w) maps, as the stacked
+    passes of ``_loss_terms`` pass them, and ``mu`` may also be a
     per-pixel weight map that broadcasts against pt.
     Returns ``(value_px, dvalue_dpt)``; callers that need only values pass
     ``grad=False`` and get ``dvalue_dpt = None``.
@@ -242,13 +219,13 @@ _SCALAR_FAST_POWERS = frozenset((-1.0, 0.5, 2.0))
 
 def _power(base: np.ndarray, e):
     """``base ** e`` for a float ``e``, or per map for an array ``e`` of
-    shape (..., 1, 1) against base's (..., h, w) maps.  Each map equals
-    ``base[i] ** float(e[i])`` bit for bit: maps whose exponent numpy would
-    special-case are recomputed with the scalar exponent."""
+    shape (..., 1, 1) that broadcasts against base's (..., h, w) maps.  Each
+    map equals ``base[i] ** float(e[i])`` bit for bit: maps whose exponent
+    numpy would special-case are recomputed with the scalar exponent."""
     out = base ** e
     if isinstance(e, np.ndarray):
         for s in _SCALAR_FAST_POWERS.intersection(e.ravel().tolist()):
-            hit = e[..., 0, 0] == s
+            hit = np.broadcast_to(e[..., 0, 0] == s, base.shape[:-2])
             out[hit] = base[hit] ** s
     return out
 
@@ -341,13 +318,72 @@ def make_loss(name: str, **params) -> Loss:
         from . import adaptive  # deferred: adaptive builds on this module
 
         return adaptive.afl_loss(adaptive.AflParams(**kw))
-    if name == "dice":
-        smooth = check_nonnegative("smooth", kw["smooth"])
-        return Loss(partial(_ratio_step, kernel=partial(_dice_kernel, smooth=smooth)))
-    if name == "soft_iou":
-        return Loss(partial(_ratio_step, kernel=_soft_iou_kernel))
-    if name in ("wbce", "balanced_ce"):
-        return Loss(partial(_weighted_ce_step, kind=name, beta=_check_beta(name, kw["beta"])))
-    gamma = _check_gamma(kw.get("gamma", 0.0))
-    alpha = float(check_nonnegative("alpha", kw.get("alpha", 0.0)))
-    return Loss(partial(_powlog_step, gamma=gamma, alpha=alpha, normalized=name == "nfl"))
+    if "smooth" in kw:
+        check_nonnegative("smooth", kw["smooth"])
+    if "beta" in kw:
+        kw["beta"] = _check_beta(name, kw["beta"])
+    if "gamma" in kw:
+        kw["gamma"] = _check_gamma(kw["gamma"])
+    if "alpha" in kw:
+        kw["alpha"] = float(check_nonnegative("alpha", kw["alpha"]))
+    return Loss(partial(_bound_step, name=name, params=kw))
+
+
+def _loss_terms(name: str, p, target: Target, params: dict, diag=None):
+    """The one dispatch on the loss name: every bound step runs it on one
+    map, and the gradient check on stacks.
+
+    ``p`` is a trusted map of ``target``'s shape, or a (K, M, h, w) stack
+    against a (K, 1, h, w) ``Target.stack``; ``params`` holds the loss's
+    checked parameters (wbce's beta fixed), each a float or, AFL's flags
+    aside, one value per map shaped (K, 1, 1, 1).  Without ``diag``:
+    ``(values, grads_wrt_prob, diag)``, where ``diag`` holds the map-level
+    coefficients of ``p`` that are held constant (nfl's ``nfl_scale``, the
+    class-weighted losses' ``beta``, the ``AflDiagnostics`` fields), one
+    array value per map.  With the ``diag`` of base maps: the values of
+    ``p`` with those coefficients frozen."""
+    grad = diag is None
+    if name in ("dice", "soft_iou"):  # no map-level coefficient
+        if name == "dice":
+            smooth = params["smooth"]
+            value, dvalue = _dice_kernel(p, target.yf, smooth[..., 0, 0] if np.ndim(smooth)
+                                         else smooth, grad)
+        else:
+            value, dvalue = _soft_iou_kernel(p, target.yf, grad)
+        return (value, dvalue, {}) if grad else value
+    pt = _pt_kernel(p, target.mask)
+    g, alpha = params.get("gamma", 0.0), params.get("alpha", 0.0)
+    mu = _ce_weights(name, params["beta"], target.fg) if "beta" in params else 1.0
+    if not grad:
+        if name == "afl":
+            g, mu = diag["gamma_d"][..., None, None], diag["mu"][..., None, None]
+        value_px, _ = powlog_kernel(pt, g, alpha, mu, grad=False)
+        return diag.get("nfl_scale", 1.0) * value_px.sum(axis=(-2, -1))
+    diag = {"beta": params["beta"]} if "beta" in params else {}
+    if name == "afl":
+        from .adaptive import _afl_coeffs  # deferred: adaptive builds on this module
+
+        h, w = pt.shape[-2:]
+        coeffs, omp, mod = _afl_coeffs(pt.reshape(1, -1, h, w), target.fg_index, np.ravel(g),
+                                       np.ravel(params["delta"]), params["ada_enabled"],
+                                       params["agr_enabled"])
+        diag = {key: v.reshape(pt.shape[:-2]) for key, v in vars(coeffs).items()}
+        # one map takes float coefficients, which numpy applies faster than (1, 1) arrays
+        g, mu = (diag[key].item() if pt.ndim == 2 else diag[key][..., None, None]
+                 for key in ("gamma_d", "mu"))
+        omp, mod = omp.reshape(pt.shape), mod.reshape(pt.shape)
+    else:
+        omp = 1.0 - pt
+        mod = _power(omp, g)
+    value_px, dvalue = _powlog_terms(pt, omp, mod, g, alpha, mu)
+    if name == "nfl":  # times the detached N / sum (1-pt)^gamma, 0 on an all-perfect map
+        norm = mod.sum(axis=(-2, -1), keepdims=True)
+        scale = np.divide(pt.shape[-2] * pt.shape[-1], norm, out=np.zeros_like(norm),
+                          where=norm != 0.0)
+        value_px *= scale
+        dvalue *= scale
+        diag = {"nfl_scale": scale[..., 0, 0]}
+    dvalue *= target.sign * (pt > DEFAULT_EPS_CLIP)  # d(pt)/d(p), 0 inside the clamp
+    if name == "nfl":
+        np.copyto(dvalue, 0.0, where=scale == 0.0)
+    return value_px.sum(axis=(-2, -1)), dvalue, diag

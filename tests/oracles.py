@@ -218,15 +218,17 @@ def reference_frozen_value_fn(name: str, pred, gt, params: dict):
 
 
 def reference_check_loss_gradients(name: str, cases: int, seed: int) -> dict:
-    """``gradcheck.check_loss_gradients`` one case at a time: one analytic
-    gradient and one finite-difference call on the (2*h*w, h, w) stack of
-    each drawn case, with no grouping or chunking."""
+    """``gradcheck.check_loss_gradients`` one case at a time: the analytic
+    gradient of one validated loss call and the one-pixel central
+    differences of ``reference_frozen_value_fn`` for each drawn case, with
+    no grouping or chunking."""
     rng = rng_stream(seed, f"gradcheck/{name}")
     worst = 0.0
     for _ in range(cases):
         pred, gt, params = gradcheck._random_case(rng, name)
-        analytic, value_fn = gradcheck._analytic_and_frozen(name, pred, gt, params)
-        fd = gradcheck.central_difference_grad(value_fn, pred)
+        analytic = losses.make_loss(name, **params)(pred, gt).grad_wrt_prob
+        fd = reference_central_difference_grad(reference_frozen_value_fn(name, pred, gt, params),
+                                               pred)
         rel = np.abs(analytic - fd) / (gradcheck.DEFAULT_ATOL / gradcheck.DEFAULT_RTOL + np.abs(fd))
         worst = max(worst, float(rel.max()))
     return {"loss": name, "cases": cases, "max_rel_err": worst,

@@ -102,6 +102,23 @@ def test_stacked_terms_mix_wbce_auto_and_explicit_beta():
     _assert_group_equals_one_case_path("wbce", _crafted_group(4, params, (6, 6)))
 
 
+def test_afl_flags_are_honoured_and_shared_by_a_stacked_call():
+    (pred, gt, _), = _crafted_group(6, [{}], (5, 6))
+    base = {"gamma": 1.5, "alpha": 0.5, "delta": 0.3}
+    default, _ = gradcheck._analytic_and_frozen("afl", pred, gt, base)
+    for ada, agr in ((False, True), (True, False), (False, False)):
+        params = dict(base, ada_enabled=ada, agr_enabled=agr)
+        analytic, values = gradcheck._analytic_and_frozen("afl", pred, gt, params)
+        assert bits(analytic) == bits(losses.make_loss("afl", **params)(pred, gt).grad_wrt_prob)
+        assert bits(analytic) != bits(default)
+        ref = reference_central_difference_grad(
+            reference_frozen_value_fn("afl", pred, gt, params), pred)
+        assert bits(gradcheck.central_difference_grad(values, pred)) == bits(ref)
+    with pytest.raises(ParameterError, match="one stacked call"):
+        gradcheck._stacked_terms("afl", np.array([pred, pred]), [gt, gt],
+                                 [base, dict(base, ada_enabled=False)])
+
+
 def test_stacked_terms_check_every_case_and_the_masks():
     group = _crafted_group(5, [{"gamma": 1.0}] * 3)
     preds, gts, params = zip(*group)
