@@ -12,12 +12,12 @@ Two map-level coefficients extend the focal/poly family:
 Final per-pixel form:  -mu*(1-pt)^gamma_d*log(pt) + alpha*(1-pt)^(gamma_d+1).
 
 Both coefficients are computed from the clamped pt map and detached: the
-analytic gradient differentiates through pt only.  One routine,
-``_afl_coeffs``, computes them for a stack of maps: a bound step (through
-``losses._loss_terms``) passes its one map as a (1, 1, h, w) stack, the
-gradient check and ``identity_residuals`` (one call per map shape) K maps
-with per-map exponents as a (1, K, h, w) stack, and the matching cost a
-block of prediction rows against every ground truth.  With ADA and AGR disabled
+analytic gradient differentiates through pt only.  ``_afl_coeffs`` computes
+them for a stack of maps, and ``losses._loss_terms``, the one assembly of
+every loss, is its caller: a bound step passes one map as a (1, 1, h, w)
+stack, the gradient check and ``identity_residuals`` K maps with per-map
+exponents as a (1, K, h, w) stack, and the matching cost a block of
+prediction rows against every ground truth.  With ADA and AGR disabled
 (gamma_a := 0, mu := 1) the loss collapses to poly, then focal (alpha=0),
 then bce (gamma=0) -- bit-exactly, since all share one kernel.
 
@@ -29,14 +29,12 @@ where the expansions converge fast, and are never the production gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .core import (DEFAULT_EPS_CLIP, DimensionError, DomainError, ParameterError, _pt_kernel,
-                   as_binary_mask, as_prob_stack, check_integer, check_nonnegative)
-from .losses import (Loss, LossOutput, _bound_step, _check_gamma, _power, _powlog_terms,
-                     powlog_kernel)
+from .core import (DimensionError, DomainError, ParameterError, _pt_kernel, as_binary_mask,
+                   as_prob_stack, check_integer, check_nonnegative)
+from .losses import LossOutput, Target, _check_gamma, _loss_terms, _power, make_loss
 
 MU_FLOOR_PER_PIXEL = 1e-12  # caps mu at 1e12 when the map is near perfect
 
@@ -71,7 +69,7 @@ class AflDiagnostics:
 
 def gamma_a(pred, gt) -> float:
     """1 - mean(pt) over foreground pixels; 0 when the map has no foreground."""
-    return afl_loss(AflParams(agr_enabled=False))(pred, gt).diagnostics["gamma_a"]
+    return make_loss("afl", agr_enabled=False)(pred, gt).diagnostics["gamma_a"]
 
 
 def mu(pt, gamma_d: float, delta: float) -> float:
@@ -103,13 +101,8 @@ def afl(pred, gt, params: AflParams = AflParams()) -> tuple[LossOutput, AflDiagn
     Reduction order matters: gamma_a and mu are full-map reductions computed
     before the per-pixel pass, then held constant.
     """
-    out = afl_loss(params)(pred, gt)
+    out = make_loss("afl", **vars(params))(pred, gt)
     return out, AflDiagnostics(**out.diagnostics)
-
-
-def afl_loss(params: AflParams = AflParams()) -> Loss:
-    """The adaptive focal loss as a :class:`~clicklab.losses.Loss`."""
-    return Loss(partial(_bound_step, name="afl", params=vars(params)))
 
 
 def _afl_coeffs(pt: np.ndarray, fg_index: list, gamma, delta, ada_enabled: bool = True,
@@ -124,14 +117,15 @@ def _afl_coeffs(pt: np.ndarray, fg_index: list, gamma, delta, ada_enabled: bool 
     floats, or arrays of one value per map that broadcast against the (K, M)
     coefficients, such as a stacked pass's (K,) arrays against (1, K).
     Returns ``(diagnostics, omp, mod)``; the diagnostics' fields are (K, M)
-    arrays, except the (M,) ``hard_count``.  Each map's coefficients equal
-    those of ``pt[fg].mean()`` and of Python-float exponents bit for bit: the
-    foreground is summed in row-major order, and ``losses._power`` recomputes
-    the maps whose exponent numpy special-cases.
+    arrays, ``hard_count`` each mask's count repeated down its column.  Each
+    map's coefficients equal those of ``pt[fg].mean()`` and of Python-float
+    exponents bit for bit: the foreground is summed in row-major order, and
+    ``losses._power`` recomputes the maps whose exponent numpy special-cases.
     """
     k, m = pt.shape[:2]
     flat = pt.reshape(k, m, -1)
-    hard_count = np.array([ix.size for ix in fg_index])
+    hard_count = np.empty((k, m), dtype=np.int64)  # filled faster than np.broadcast_to builds
+    hard_count[:] = [ix.size for ix in fg_index]
     fg_pt_mean = np.ones((k, m))  # 1 without foreground, so gamma_a is 0
     for j, ix in enumerate(fg_index):
         if ix.size:
@@ -180,12 +174,7 @@ def bce_grad_series(pt, terms: int) -> np.ndarray:
     The leading term is 1 for every pixel regardless of difficulty, which is
     the equal-treatment signature of plain cross entropy.
     """
-    arr = _series_domain(pt, terms)
-    omp = 1.0 - arr
-    total = np.zeros_like(arr)
-    for k in range(terms):
-        total += omp ** k
-    return total
+    return afl_grad_series(pt, 0.0, 0.0, terms)
 
 
 def afl_grad_series(pt, gamma_d: float, alpha: float, terms: int) -> np.ndarray:
@@ -259,7 +248,7 @@ def chebyshev_identity_check(pt, gamma_d: float) -> float:
 
 def identity_residuals(pred, gt, gamma, alpha, delta):
     """Per-map residuals of the special-case ladder and of the mu identity
-    for K maps of one shape, checked once and evaluated in one stacked pass.
+    for K maps of one shape, checked once and evaluated in stacked passes.
 
     ``pred`` and ``gt`` are (K, h, w) stacks of probability maps and {0, 1}
     masks; ``gamma``, ``alpha`` and ``delta`` hold one value per map in
@@ -288,31 +277,27 @@ def _identity_terms(p, y, gamma, alpha, delta):
     """``(rungs, mu_residual, gamma_a)`` of trusted stacks and parameters;
     ``rungs`` maps each rung to its two losses as ``(values, grads_wrt_prob)``:
     afl (ADA and AGR off) against poly, poly(alpha=0) against focal, and
-    focal(gamma=0) against bce.  afl runs ``_afl_coeffs`` and
-    ``_powlog_terms``, the others ``powlog_kernel`` with per-map (K, 1, 1)
-    gammas and alphas where the one-map loss takes them as arguments and the
-    float 0 where it fixes them.  Every value equals that of the validated
-    one-map calls (``afl``, ``losses.poly``, ``focal``, ``bce``, ``pt_map``)
-    bit for bit."""
-    pt = _pt_kernel(p, y)
-    chain = np.where(y == 1, 1.0, -1.0) * (pt > DEFAULT_EPS_CLIP)
-    fg_index = [np.flatnonzero(m) for m in y]
-    g, a = gamma[:, None, None], alpha[:, None, None]
+    focal(gamma=0) against bce.  Each loss is one stacked call of
+    ``losses._loss_terms`` over the (K, 1, h, w) ``Target.stack`` of ``y``,
+    the assembly every bound step runs, with per-map (K, 1, 1, 1) parameters
+    where the one-map loss takes them as arguments and the float default
+    where it fixes them, so every value equals that of the validated one-map
+    calls (``afl``, ``losses.poly``, ``focal``, ``bce``, ``pt_map``) bit for
+    bit.  The mu residual and gamma_a come from one ``_afl_coeffs`` call."""
+    target = Target.stack(y[:, None])
+    g, a, d = (v.reshape(-1, 1, 1, 1) for v in (gamma, alpha, delta))
     zero = np.zeros_like(g)
 
-    def summed(value_px, dvalue_dpt):
-        return value_px.sum(axis=(-2, -1)), dvalue_dpt * chain
+    def terms(name, **params):
+        values, grads, _ = _loss_terms(name, p[:, None], target, params)
+        return values[:, 0], grads[:, 0]
 
-    off, omp, mod = _afl_coeffs(pt[None], fg_index, gamma, delta, False, False)
-    afl_off = _powlog_terms(pt, omp[0], mod[0], off.gamma_d[0, :, None, None], a,
-                            off.mu[0, :, None, None])
-    rungs = {"poly": (summed(*afl_off), summed(*powlog_kernel(pt, g, a, 1.0))),
-             "focal": (summed(*powlog_kernel(pt, g, zero, 1.0)),
-                       summed(*powlog_kernel(pt, g, 0.0, 1.0))),
-             "bce": (summed(*powlog_kernel(pt, zero, 0.0, 1.0)),
-                     summed(*powlog_kernel(pt, 0.0, 0.0, 1.0)))}
+    rungs = {"poly": (terms("afl", gamma=g, alpha=a, delta=d, ada_enabled=False,
+                            agr_enabled=False), terms("poly", gamma=g, alpha=a)),
+             "focal": (terms("poly", gamma=g, alpha=zero), terms("focal", gamma=g)),
+             "bce": (terms("focal", gamma=zero), terms("bce"))}
 
-    on, _, _ = _afl_coeffs(pt[None], fg_index, gamma, delta)
+    on, _, mod = _afl_coeffs(_pt_kernel(p, y)[None], target.fg_index, gamma, delta)
     g_d = on.gamma_d[0, :, None, None]
-    weighted = on.mu[0, :, None, None] * _power(1.0 - pt, g_d) * (1.0 + delta[:, None, None] * g_d)
+    weighted = on.mu[0, :, None, None] * mod[0] * (1.0 + delta[:, None, None] * g_d)
     return rungs, np.abs(weighted.mean(axis=(-2, -1)) - 1.0), on.gamma_a[0]

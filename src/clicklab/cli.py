@@ -131,12 +131,12 @@ def cmd_identity_check(args) -> int:
             gt.flat[0] = 1
             gamma, alpha, delta = (float(rng.uniform(0.0, hi)) for hi in (5.0, 2.0, 1.0))
             groups.setdefault((h, w), []).append((pred, gt, gamma, alpha, delta))
-        for group in groups.values():
+        for group in groups.values():  # np.maximum keeps a NaN, so it fails its check
             gaps, mu_res, g_a = adaptive.identity_residuals(*(np.array(v) for v in zip(*group)))
             for rung, gap in gaps.items():
-                ladder_gap[rung] = max(ladder_gap[rung], float(gap.max()))
-            mu_gap = max(mu_gap, float(mu_res.max()))
-            gamma_a_gap = max(gamma_a_gap, float(np.maximum(g_a - 1.0, -g_a).max()))
+                ladder_gap[rung] = float(np.maximum(ladder_gap[rung], gap.max()))
+            mu_gap = float(np.maximum(mu_gap, mu_res.max()))
+            gamma_a_gap = float(np.maximum(gamma_a_gap, np.maximum(g_a - 1.0, -g_a).max()))
 
     taylor_pts = np.linspace(0.6, 0.99, 40)
     taylor_gap = float(np.abs(adaptive.neg_log_series(taylor_pts, 50) + np.log(taylor_pts)).max())

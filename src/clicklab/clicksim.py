@@ -36,6 +36,7 @@ from .core import (
     PerfectPredictionError,
     as_binary_mask,
     binarize,
+    check_integer,
     check_same_shape,
     iou,
     rng_stream,
@@ -215,6 +216,7 @@ class NoisyOraclePredictor:
     def __init__(self, gt, error_rate: float, seed: int):
         if not (0.0 <= error_rate <= 1.0):
             raise ParameterError(f"error_rate must be in [0, 1], got {error_rate}")
+        check_integer("seed", seed)
         self.gt = as_binary_mask(gt)
         self.error_rate = float(error_rate)
         self.seed = int(seed)

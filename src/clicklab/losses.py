@@ -75,9 +75,12 @@ class Target:
 
     @classmethod
     def stack(cls, masks: np.ndarray) -> Target:
-        """K trusted (h, w) {0, 1} masks as one (K, 1, h, w) target."""
+        """Trusted {0, 1} masks of any leading shape, kept as given: the
+        gradient check's (K, 1, h, w) stack, paired map by map with a
+        (K, M, h, w) probability stack, or the matching cost's (M, h, w)
+        masks, against which a (k, 1, h, w) block of predictions broadcasts."""
         target = cls.__new__(cls)
-        target.mask = masks[:, None]
+        target.mask = masks
         return target
 
     @cached_property
@@ -315,9 +318,9 @@ def make_loss(name: str, **params) -> Loss:
     if params:
         raise ParameterError(f"loss {name!r} does not accept parameters {sorted(params)}")
     if name == "afl":
-        from . import adaptive  # deferred: adaptive builds on this module
+        from .adaptive import AflParams  # deferred: adaptive builds on this module
 
-        return adaptive.afl_loss(adaptive.AflParams(**kw))
+        AflParams(**kw)
     if "smooth" in kw:
         check_nonnegative("smooth", kw["smooth"])
     if "beta" in kw:
@@ -329,20 +332,25 @@ def make_loss(name: str, **params) -> Loss:
     return Loss(partial(_bound_step, name=name, params=kw))
 
 
-def _loss_terms(name: str, p, target: Target, params: dict, diag=None):
-    """The one dispatch on the loss name: every bound step runs it on one
-    map, and the gradient check on stacks.
+def _loss_terms(name: str, p, target: Target, params: dict, diag=None, grad: bool = True):
+    """The one assembly of a loss from the kernels: every bound step runs it
+    on one map, the gradient check and ``loss identity-check`` on stacks,
+    and the matching cost on blocks of prediction rows.
 
-    ``p`` is a trusted map of ``target``'s shape, or a (K, M, h, w) stack
-    against a (K, 1, h, w) ``Target.stack``; ``params`` holds the loss's
-    checked parameters (wbce's beta fixed), each a float or, AFL's flags
-    aside, one value per map shaped (K, 1, 1, 1).  Without ``diag``:
-    ``(values, grads_wrt_prob, diag)``, where ``diag`` holds the map-level
-    coefficients of ``p`` that are held constant (nfl's ``nfl_scale``, the
-    class-weighted losses' ``beta``, the ``AflDiagnostics`` fields), one
-    array value per map.  With the ``diag`` of base maps: the values of
-    ``p`` with those coefficients frozen."""
-    grad = diag is None
+    ``p`` is a trusted map of ``target``'s shape, a (K, M, h, w) stack
+    against a (K, 1, h, w) ``Target.stack``, or a (k, 1, h, w) block
+    against M masks; ``params`` holds the loss's checked parameters (wbce's
+    beta fixed), each a float or, AFL's flags aside, one value per map
+    shaped (K, 1, 1, 1).  AFL pairs the pt maps with the masks as a
+    (-1, M, h, w) stack.  Without ``diag``: ``(values, grads_wrt_prob,
+    diag)``, where ``diag`` holds the map-level coefficients of ``p`` that
+    are held constant (nfl's ``nfl_scale``, the class-weighted losses'
+    ``beta``, the ``AflDiagnostics`` fields), one array value per map; with
+    ``grad=False`` the gradient is None and ``diag`` empty.  With the
+    ``diag`` of base maps: the values of ``p`` with those coefficients
+    frozen."""
+    if diag is not None:
+        grad = False
     if name in ("dice", "soft_iou"):  # no map-level coefficient
         if name == "dice":
             smooth = params["smooth"]
@@ -350,11 +358,11 @@ def _loss_terms(name: str, p, target: Target, params: dict, diag=None):
                                          else smooth, grad)
         else:
             value, dvalue = _soft_iou_kernel(p, target.yf, grad)
-        return (value, dvalue, {}) if grad else value
+        return value if diag is not None else (value, dvalue, {})
     pt = _pt_kernel(p, target.mask)
     g, alpha = params.get("gamma", 0.0), params.get("alpha", 0.0)
     mu = _ce_weights(name, params["beta"], target.fg) if "beta" in params else 1.0
-    if not grad:
+    if diag is not None:
         if name == "afl":
             g, mu = diag["gamma_d"][..., None, None], diag["mu"][..., None, None]
         value_px, _ = powlog_kernel(pt, g, alpha, mu, grad=False)
@@ -364,9 +372,9 @@ def _loss_terms(name: str, p, target: Target, params: dict, diag=None):
         from .adaptive import _afl_coeffs  # deferred: adaptive builds on this module
 
         h, w = pt.shape[-2:]
-        coeffs, omp, mod = _afl_coeffs(pt.reshape(1, -1, h, w), target.fg_index, np.ravel(g),
-                                       np.ravel(params["delta"]), params["ada_enabled"],
-                                       params["agr_enabled"])
+        coeffs, omp, mod = _afl_coeffs(pt.reshape(-1, len(target.fg_index), h, w),
+                                       target.fg_index, np.ravel(g), np.ravel(params["delta"]),
+                                       params["ada_enabled"], params["agr_enabled"])
         diag = {key: v.reshape(pt.shape[:-2]) for key, v in vars(coeffs).items()}
         # one map takes float coefficients, which numpy applies faster than (1, 1) arrays
         g, mu = (diag[key].item() if pt.ndim == 2 else diag[key][..., None, None]
@@ -375,14 +383,17 @@ def _loss_terms(name: str, p, target: Target, params: dict, diag=None):
     else:
         omp = 1.0 - pt
         mod = _power(omp, g)
-    value_px, dvalue = _powlog_terms(pt, omp, mod, g, alpha, mu)
+    value_px, dvalue = _powlog_terms(pt, omp, mod, g, alpha, mu, grad)
     if name == "nfl":  # times the detached N / sum (1-pt)^gamma, 0 on an all-perfect map
         norm = mod.sum(axis=(-2, -1), keepdims=True)
         scale = np.divide(pt.shape[-2] * pt.shape[-1], norm, out=np.zeros_like(norm),
                           where=norm != 0.0)
         value_px *= scale
-        dvalue *= scale
+        if grad:
+            dvalue *= scale
         diag = {"nfl_scale": scale[..., 0, 0]}
+    if not grad:
+        return value_px.sum(axis=(-2, -1)), None, {}
     dvalue *= target.sign * (pt > DEFAULT_EPS_CLIP)  # d(pt)/d(p), 0 inside the clamp
     if name == "nfl":
         np.copyto(dvalue, 0.0, where=scale == 0.0)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adaptive, losses
-from .core import (DEFAULT_EPS_CLIP, DimensionError, ParameterError, _pt_kernel, as_binary_mask,
-                   as_prob_map, check_nonnegative)
+from .core import (DEFAULT_EPS_CLIP, DimensionError, ParameterError, as_binary_mask, as_prob_map,
+                   check_nonnegative)
 
 _TIE_RTOL = 1e-9
 # float64 elements per (k, M, h, w) temporary of _cost_matrix (128 KB)
@@ -106,11 +106,11 @@ def _cost_matrix(preds: list, gts: list, weights: LossWeights,
     """N x M pair costs.  The dataclasses checked every map and parameter
     when they were built, so only shapes are checked here.
 
-    pt, the AFL coefficients, the AFL values and dice are computed over a
-    (k, M, h, w) block of k prediction rows at a time.  The coefficients come
-    from ``adaptive._afl_coeffs``, the routine the bound AFL training step
-    calls on one map, given each ground truth's flat foreground indices,
-    which are found once per call.  k is the largest
+    The AFL and dice terms are computed over a (k, M, h, w) block of k
+    prediction rows at a time, each by one value-only call of
+    ``losses._loss_terms``, the assembly the bound training step runs on one
+    map, against the ``Target.stack`` of the M ground truths, whose flat
+    foreground indices are found once per call.  k is the largest
     count whose block holds at most ``COST_BLOCK_ELEMENTS`` floats, so each
     temporary stays under 128 KB.  At N = 40, M = 3, 32 x 32 on a 2-CPU
     Xeon, rows one at a time (numpy's per-call overhead once per row) took
@@ -126,22 +126,17 @@ def _cost_matrix(preds: list, gts: list, weights: LossWeights,
     shapes = {pr.mask_probs.shape for pr in preds} | {gt.mask.shape for gt in gts}
     if len(shapes) > 1:
         raise DimensionError(f"mask shapes differ: {sorted(shapes)}")
-    y = np.stack([gt.mask for gt in gts])
-    fg_index = [np.flatnonzero(gt.mask) for gt in gts]
+    target = losses.Target.stack(np.stack([gt.mask for gt in gts]))  # (M, h, w)
     p = np.stack([pr.mask_probs for pr in preds])[:, None]  # (N, 1, h, w)
     cls_term = _class_nll(np.stack([pr.click_class_probs for pr in preds]),
                           [gt.class_index for gt in gts])
-    rows = max(1, COST_BLOCK_ELEMENTS // y.size)
+    rows = max(1, COST_BLOCK_ELEMENTS // target.mask.size)
     cost = np.empty(cls_term.shape, dtype=np.float64)
     for start in range(0, len(preds), rows):
         block = slice(start, start + rows)
-        pt = _pt_kernel(p[block], y)
-        coeffs, omp, mod = adaptive._afl_coeffs(pt, fg_index, afl_params.gamma, afl_params.delta,
-                                                afl_params.ada_enabled, afl_params.agr_enabled)
-        afl_px, _ = losses._powlog_terms(pt, omp, mod, coeffs.gamma_d[..., None, None],
-                                         afl_params.alpha, coeffs.mu[..., None, None], grad=False)
-        dice, _ = losses._dice_kernel(p[block], y, 1.0, grad=False)
-        mask_term = weights.lambda_afl * afl_px.sum(axis=(-2, -1)) + weights.lambda_dice * dice
+        afl, _, _ = losses._loss_terms("afl", p[block], target, vars(afl_params), grad=False)
+        dice, _, _ = losses._loss_terms("dice", p[block], target, {"smooth": 1.0}, grad=False)
+        mask_term = weights.lambda_afl * afl + weights.lambda_dice * dice
         cost[block] = weights.lambda_mask * mask_term + weights.lambda_cli * cls_term[block]
     return cost
 

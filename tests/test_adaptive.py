@@ -195,7 +195,7 @@ def test_bound_afl_step_equals_float_oracle_bit_for_bit():
         gamma = [0.5, 2.0, float(rng.uniform(0.0, 5.0))][case % 3]
         params = adaptive.AflParams(gamma=gamma, delta=float(rng.uniform(0.0, 1.0)),
                                     ada_enabled=case % 4 != 0, agr_enabled=case % 5 != 0)
-        value, grad, diag = adaptive.afl_loss(params).bind(losses.Target(gt))(pred)
+        value, grad, diag = losses.make_loss("afl", **vars(params)).bind(losses.Target(gt))(pred)
         want_value, want_grad, want_diag = reference_afl_step(pred, gt, params)
         assert repr(value) == repr(want_value) and bits(grad) == bits(want_grad)
         assert repr(diag) == repr(want_diag)

@@ -133,6 +133,20 @@ def test_identity_check_report_independent_of_chunk_size(capsys, monkeypatch):
     assert chunked == whole
 
 
+def test_identity_check_fails_on_a_nan_residual(capsys, monkeypatch):
+    # Python's max(gap, nan) keeps gap, which would report a pass
+    def nan_residuals(pred, gt, gamma, alpha, delta):
+        nan = np.full(len(pred), np.nan)
+        return {"poly": nan, "focal": nan, "bce": nan}, nan, nan
+
+    monkeypatch.setattr(clicklab.adaptive, "identity_residuals", nan_residuals)
+    code, report = run_cli(capsys, "loss", "identity-check", "--seed", "1", "--cases", "5")
+    failed = {c["name"] for c in report["invariant_checks"] if not c["pass"]}
+    assert code == 1
+    assert failed == {"ladder/afl_equals_poly", "ladder/poly_equals_focal",
+                      "ladder/focal_equals_bce", "mu/mean_identity", "gamma_a/in_unit_interval"}
+
+
 def test_curve_grid_size_and_focal_coincidence(capsys, tmp_path):
     out = str(tmp_path / "curve.csv")
     code, report = run_cli(capsys, "loss", "curve", "--gammas", "0,2",

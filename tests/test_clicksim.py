@@ -327,6 +327,16 @@ def test_noisy_flips_stay_out_of_click_disks():
     assert np.array_equal(pred[~disk], 1 - gt[~disk])
 
 
+@pytest.mark.parametrize("seed", [2.9, True, "7"])
+def test_noisy_predictor_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ParameterError):
+        clicksim.NoisyOraclePredictor(centered_square(), 0.1, seed)
+
+
+def test_noisy_predictor_takes_numpy_integer_seeds():
+    assert clicksim.NoisyOraclePredictor(centered_square(), 0.1, np.int64(7)).seed == 7
+
+
 def test_protocol_version_one_trace_pinned():
     # a change to click placement or click encoding moves this digest; such a
     # change must bump PROTOCOL_VERSION

@@ -179,6 +179,14 @@ def test_one_fd_call_per_loss_and_shape_group(monkeypatch):
     assert calls == {"fd": groups, "values": groups} and groups == 73
 
 
+def test_a_nan_difference_fails_the_check(monkeypatch):
+    # Python's max(worst, nan) keeps worst, which would report a pass
+    monkeypatch.setattr(gradcheck, "central_difference_grad",
+                        lambda value_fn, prob: np.full(np.shape(prob), np.nan))
+    report, = gradcheck.run_suite(["bce"], cases=3, seed=1)
+    assert np.isnan(report["max_rel_err"]) and report["pass"] is False
+
+
 @pytest.mark.parametrize("cases", [0, -2, True, 2.5, "3"])
 def test_cases_must_be_a_positive_integer(cases):
     with pytest.raises(ParameterError):

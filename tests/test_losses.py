@@ -377,6 +377,54 @@ def test_ratio_kernels_score_an_empty_pair_zero_in_a_stack():
         assert (grads[0] == 0.0).all() and np.isfinite(grads).all()
 
 
+def _edge_probs(rng, shape):
+    """Probabilities with some pixels at exactly 0 and 1, so the clamp shows."""
+    p = rng.uniform(0.0, 1.0, size=shape)
+    p[rng.random(shape) < 0.1] = 0.0
+    p[rng.random(shape) < 0.1] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("name", list(losses._LOSS_PARAMS))
+def test_loss_terms_values_without_grad_equal_values_with_grad(name):
+    rng = rng_stream(53, f"test/loss_terms_no_grad/{name}")
+    p = _edge_probs(rng, (7, 1, 5, 6))
+    masks = (rng.random(p.shape) < rng.uniform(0.1, 0.9, size=(7, 1, 1, 1))).astype(np.uint8)
+    masks[..., 0, 0], masks[..., -1, -1] = 1, 0
+    target = losses.Target.stack(masks)
+    params = dict(losses._LOSS_PARAMS[name])
+    if "beta" in params:
+        params["beta"] = 0.3
+    if "gamma" in params:  # per map, hitting numpy's scalar fast paths
+        params["gamma"] = np.array([0.5, 2.0, 0.0, 1.0, 3.7, 4.2, 1.5]).reshape(7, 1, 1, 1)
+    values, _, _ = losses._loss_terms(name, p, target, params)
+    got, grad, diag = losses._loss_terms(name, p, target, params, grad=False)
+    assert grad is None and diag == {}
+    assert got.shape == (7, 1) and bits(got) == bits(values)
+
+
+@pytest.mark.parametrize("gamma, ada, agr", [(0.5, True, True), (2.0, True, True),
+                                             (2.0, False, False), (0.5, False, True),
+                                             (1.3, True, False)])
+def test_loss_terms_block_against_masks_equals_each_pair(gamma, ada, agr):
+    # the matching cost's layout: k prediction rows against M masks, one empty
+    rng = rng_stream(54, f"test/loss_terms_block/{gamma}/{ada}/{agr}")
+    preds = _edge_probs(rng, (4, 1, 5, 6))
+    masks = (rng.random((3, 5, 6)) < 0.5).astype(np.uint8)
+    masks[1] = 0
+    target = losses.Target.stack(masks)
+    afl = {"gamma": gamma, "alpha": 0.7, "delta": 0.4, "ada_enabled": ada, "agr_enabled": agr}
+    for name, params in (("afl", afl), ("dice", {"smooth": 1.0})):
+        values, _, _ = losses._loss_terms(name, preds, target, params, grad=False)
+        with_grad, grads, diag = losses._loss_terms(name, preds, target, params)
+        assert values.shape == (4, 3) and bits(values) == bits(with_grad)
+        for i, j in np.ndindex(values.shape):
+            want = losses.make_loss(name, **params)(preds[i, 0], masks[j])
+            assert repr(float(values[i, j])) == repr(want.value), (name, i, j)
+            assert bits(grads[i, j]) == bits(want.grad_wrt_prob), (name, i, j)
+            assert repr({key: v[i, j].item() for key, v in diag.items()}) == repr(want.diagnostics)
+
+
 def test_losses_of_a_column_gathered_map_equal_its_contiguous_copy():
     # b[:, perm] is not C-ordered; the validated losses make it contiguous, so
     # they sum in the order of its copy and agree bit for bit
