@@ -18,8 +18,13 @@ which keeps every row a valid distribution.
 
 A forward pass cycles the blocks over three coarse-to-fine scales.  As in
 Mask2Former the per-layer state is plain arrays: the (N, d) queries and the
-N mask logits as one (N, h, w) array; only the final masks and click-class
-probabilities become InstancePredictions.
+N mask logits as one (N, h*w) array.  A layer computes the logits only at
+the pixel-embedding rows that the nearest-neighbour resize to its scale
+keeps (gathered once per forward and scale), and thresholds them without
+the logistic: ``expit(z) >= 0.5`` is ``z >= 0`` except just below 0, where
+``expit`` is evaluated because it rounds to 0.5.  Only the final heads apply
+the logistic to the full (N, h, w) stack, and their masks and click-class
+probabilities become InstancePredictions, validated once as a stack.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from scipy import ndimage
 from scipy.special import expit
 
 from .clicksim import DEFAULT_CLICK_RADIUS, encode_clicks
-from .core import ClickLabError, DimensionError, ParameterError, binarize, rng_stream
+from .core import ClickLabError, DimensionError, ParameterError, check_integer, rng_stream
 from .matching import InstancePrediction
 
 _SCALE_FRACTIONS = (32, 16, 8)  # coarse-to-fine denominators; pixel embed at 1/4
@@ -82,6 +87,8 @@ class AttentionParams:
     @classmethod
     def initialize(cls, n_queries: int = 10, dim: int = 16, seed: int = 0) -> "AttentionParams":
         """All weights seeded uniform in [-1/sqrt(d), 1/sqrt(d)]."""
+        check_integer("n_queries", n_queries)
+        check_integer("dim", dim)
         if n_queries < 1 or dim < 1:
             raise ParameterError("n_queries and dim must be >= 1")
         bound = 1.0 / np.sqrt(dim)
@@ -120,12 +127,28 @@ def resize_nearest(arr: np.ndarray, h: int, w: int) -> np.ndarray:
     return arr[..., rows[:, None], cols]
 
 
-def _attn_rows(probs: np.ndarray) -> np.ndarray:
-    """(N, h*w) {0, -inf} rows, 0 where an (N, h, w) prediction stack is
-    foreground.  An all-background row would mask everything, so it is reset
-    to all-0 (unmasked) to keep the softmax well defined."""
-    fg = binarize(probs.reshape(len(probs), -1))
-    mask = np.where(fg == 1, 0.0, -np.inf)
+# below this logit expit(z) < 0.5; on [-3.33e-16, 0) it rounds to 0.5
+_NEAR_ZERO_LOGIT = -1e-12
+
+
+def _logit_fg(logits: np.ndarray) -> np.ndarray:
+    """``binarize(expit(logits))`` as booleans, for every float64: the
+    logistic is evaluated only on the few logits just below 0.  A NaN raises
+    the ``ParameterError`` of ``binarize``."""
+    if np.isnan(logits).any():
+        raise ParameterError("probability map contains non-finite values")
+    fg = logits >= 0.0
+    near = (logits > _NEAR_ZERO_LOGIT) & ~fg
+    if near.any():
+        fg[near] = expit(logits[near]) >= 0.5
+    return fg
+
+
+def _attn_rows(fg: np.ndarray) -> np.ndarray:
+    """(N, h*w) {0, -inf} rows, 0 where an (N, h*w) foreground stack is set.
+    An all-background row would mask everything, so it is reset to all-0
+    (unmasked) to keep the softmax well defined."""
+    mask = np.where(fg, 0.0, -np.inf)
     mask[~fg.any(axis=1)] = 0.0
     return mask
 
@@ -183,25 +206,29 @@ def camd_layer(x: np.ndarray, attn_mask: np.ndarray, scale: ScaleFeatures,
     return x
 
 
-def _mask_logits(x: np.ndarray, pixel_embed: ScaleFeatures, params: AttentionParams) -> np.ndarray:
-    """(N, h, w) logits: the query embedding (3-layer MLP) against the pixel embedding."""
+def _mask_embed(x: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """(N, d) query embedding (3-layer MLP); its product with pixel
+    embedding rows gives the mask logits."""
     h = x
     for i, (w_i, b_i) in enumerate(params.mask_head):
         h = h @ w_i + b_i
         if i < len(params.mask_head) - 1:
             h = np.maximum(h, 0.0)
-    return (h @ pixel_embed.features.T).reshape(-1, pixel_embed.h, pixel_embed.w)
+    return h
 
 
 def predict_heads(x: np.ndarray, pixel_embed: ScaleFeatures,
                   params: AttentionParams) -> list[InstancePrediction]:
     """Per-query mask probabilities and click-class probabilities.
 
-    Zero weights give logistic(0) = 0.5 everywhere and a uniform class pair.
+    The logistic of the full (N, h, w) logit stack and the (N, 2) class
+    pairs are validated once, by ``InstancePrediction.stack``.  Zero weights
+    give logistic(0) = 0.5 everywhere and a uniform class pair.
     """
-    probs = expit(_mask_logits(x, pixel_embed, params))
+    logits = _mask_embed(x, params) @ pixel_embed.features.T
+    probs = expit(logits.reshape(-1, pixel_embed.h, pixel_embed.w))
     cls_probs = masked_softmax(x @ params.click_head + params.click_bias)
-    return [InstancePrediction(p, c) for p, c in zip(probs, cls_probs)]
+    return InstancePrediction.stack(probs, cls_probs)
 
 
 def camd_forward(scales, pixel_embed: ScaleFeatures, params: AttentionParams,
@@ -210,18 +237,22 @@ def camd_forward(scales, pixel_embed: ScaleFeatures, params: AttentionParams,
 
     The attention mask for each layer is recomputed from the current mask
     predictions (resized to that scale); the very first mask comes from the
-    initial query features before any decoding.
+    initial query features before any decoding.  A layer computes the mask
+    logits only at the pixels the nearest-neighbour resize to its scale
+    keeps, and thresholds them without the logistic.
     """
+    check_integer("blocks", blocks)
     if blocks < 1:
         raise ParameterError("blocks must be >= 1")
     if len(scales) != 3:
         raise ParameterError(f"expected 3 scale feature sets, got {len(scales)}")
+    pixels = np.arange(pixel_embed.h * pixel_embed.w).reshape(pixel_embed.h, pixel_embed.w)
+    # per scale, the (d, h*w) pixel embedding rows that the resize keeps
+    readouts = [pixel_embed.features[resize_nearest(pixels, s.h, s.w).ravel()].T for s in scales]
     x = params.x0.copy()
     for layer in range(3 * blocks):
-        scale = scales[layer % 3]
-        # the logistic is elementwise, so only the resized logits need it
-        logits = resize_nearest(_mask_logits(x, pixel_embed, params), scale.h, scale.w)
-        x = camd_layer(x, _attn_rows(expit(logits)), scale, params, collect)
+        logits = _mask_embed(x, params) @ readouts[layer % 3]
+        x = camd_layer(x, _attn_rows(_logit_fg(logits)), scales[layer % 3], params, collect)
     return predict_heads(x, pixel_embed, params)
 
 
@@ -238,6 +269,9 @@ def build_feature_stack(image: np.ndarray, clicks, dim: int, seed: int):
     row fraction, col fraction), lifted to ``dim`` by one random matrix per
     scale; click disks of the default radius shrink with the scale ratio.
     """
+    check_integer("dim", dim)
+    if dim < 1:
+        raise ParameterError(f"dim must be >= 1, got {dim}")
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise DimensionError("image must be a nonempty 2-D array")

@@ -239,6 +239,10 @@ def cmd_match(args) -> int:
         with open(args.costs) as fh:
             payload = json.load(fh)
         cost = payload["cost"] if isinstance(payload, dict) else payload
+        # numpy takes a JSON true/false as 1.0/0.0
+        if isinstance(cost, list) and any(isinstance(v, bool) for row in cost
+                                          if isinstance(row, list) for v in row):
+            raise ParameterError("cost matrix entries must be numbers, not true or false")
         match = matching.hungarian(cost)
         results = {"match": dataclasses.asdict(match)}
     else:

@@ -28,11 +28,21 @@ import numpy as np
 
 from . import adaptive, losses
 from .core import (DEFAULT_EPS_CLIP, DimensionError, ParameterError, as_binary_mask, as_prob_map,
-                   check_nonnegative)
+                   as_prob_stack, check_nonnegative)
 
 _TIE_RTOL = 1e-9
 # float64 elements per (k, M, h, w) temporary of _cost_matrix (128 KB)
 COST_BLOCK_ELEMENTS = 2 ** 14
+
+
+def _class_pairs(probs, shape: tuple) -> np.ndarray:
+    """Validate and return float64 (object, unclick) pairs, each summing to 1."""
+    c = np.asarray(probs, dtype=np.float64)
+    if c.shape != shape:
+        raise DimensionError(f"click_class_probs must have shape {shape}, got {c.shape}")
+    if not (c.min() >= 0.0 and (np.abs(c.sum(axis=-1) - 1.0) <= 1e-9).all()):  # NaN fails both
+        raise ParameterError(f"click_class_probs must be a probability pair, got {c}")
+    return c
 
 
 @dataclass
@@ -42,12 +52,21 @@ class InstancePrediction:
 
     def __post_init__(self):
         self.mask_probs = as_prob_map(self.mask_probs)
-        c = np.asarray(self.click_class_probs, dtype=np.float64)
-        if c.shape != (2,):
-            raise DimensionError(f"click_class_probs must have shape (2,), got {c.shape}")
-        if not (c.min() >= 0.0 and abs(float(c.sum()) - 1.0) <= 1e-9):  # NaN fails both
-            raise ParameterError(f"click_class_probs must be a probability pair, got {c}")
-        self.click_class_probs = c
+        self.click_class_probs = _class_pairs(self.click_class_probs, (2,))
+
+    @classmethod
+    def stack(cls, probs, class_probs) -> list:
+        """One prediction per map of an (N, h, w) probability stack and its
+        (N, 2) class pairs, checked once by the constructor's rules and
+        exception types; each prediction holds a view of the stacks."""
+        p = as_prob_stack(probs, np.shape(probs)[1:])
+        c = _class_pairs(class_probs, (len(p), 2))
+        preds = []
+        for mask_probs, click_class_probs in zip(p, c):
+            pred = cls.__new__(cls)
+            pred.mask_probs, pred.click_class_probs = mask_probs, click_class_probs
+            preds.append(pred)
+        return preds
 
 
 @dataclass
@@ -236,7 +255,9 @@ def total_loss(preds: list, gts: list,
     """Matched pair costs plus down-weighted unclick terms for the rest.
 
     Returns ``(total, match_result, breakdown)``.  ``gts`` may be empty, in
-    which case every prediction is charged the unclick term.
+    which case every prediction is charged the unclick term.  The unclick
+    terms of all unmatched predictions come from one ``_class_nll`` call
+    over their stacked (U, 2) class pairs.
     """
     if not preds:
         raise ParameterError("total_loss needs at least one prediction")
@@ -250,11 +271,12 @@ def total_loss(preds: list, gts: list,
     matched_rows = [
         {"pred": i, "gt": j, "cost": float(cost[i, j])} for i, j in match.assignment
     ] if gts else []
-    unmatched_rows = []
-    for i in match.unmatched_predictions:
-        nll = float(_class_nll(preds[i].click_class_probs, 1))  # index 1 = unclick
-        term = weights.unclick_weight * weights.lambda_cli * nll
-        unmatched_rows.append({"pred": i, "unclick_nll": nll, "cost": term})
+    unmatched = match.unmatched_predictions
+    nlls = _class_nll(np.array([preds[i].click_class_probs for i in unmatched]).reshape(-1, 2),
+                      1).tolist()  # index 1 = unclick
+    unmatched_rows = [{"pred": i, "unclick_nll": nll,
+                       "cost": weights.unclick_weight * weights.lambda_cli * nll}
+                      for i, nll in zip(unmatched, nlls)]
 
     matched_total = float(sum(r["cost"] for r in matched_rows))
     unclick_total = float(sum(r["cost"] for r in unmatched_rows))

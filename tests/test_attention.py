@@ -3,15 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from clicklab import attention
+from scipy.special import expit
+
+from clicklab import attention, clicksim, synthgen
 from clicklab.clicksim import ClickRecord
-from clicklab.core import ParameterError, rng_stream
+from clicklab.core import ParameterError, binarize, rng_stream
 from oracles import bits, reference_camd_forward, reference_stack_attn_masks
 
 
 def attn_rows(preds, h, w):
     """The decoder's attention-mask rows of a prediction stack resized to h x w."""
-    return attention._attn_rows(attention.resize_nearest(np.asarray(preds, dtype=np.float64), h, w))
+    resized = attention.resize_nearest(np.asarray(preds, dtype=np.float64), h, w)
+    return attention._attn_rows(binarize(resized.reshape(len(resized), -1)))
 
 
 def toy_params(n=4, d=8, seed=0):
@@ -45,6 +48,30 @@ def test_attn_mask_complement_pattern():
     row = attn_rows([pred], 2, 2)[0]
     assert row[0] == 0.0 and row[3] == 0.0
     assert np.isneginf(row[1]) and np.isneginf(row[2])
+
+
+def test_logit_threshold_equals_binarized_logistic():
+    rng = rng_stream(17, "test/logit_fg")
+    # expit(z) rounds to 0.5 from the float after -3.330669073875469e-16 up to 0
+    edge = [-1e-12, np.nextafter(-1e-12, 0.0), np.nextafter(-1e-12, -1.0),
+            -3.330669073875469e-16, np.nextafter(-3.330669073875469e-16, 0.0), -3.33e-16,
+            -1e-300, -5e-324, 0.0, -0.0, 5e-324, np.inf, -np.inf]
+    anywhere = rng.integers(0, 2 ** 64, size=4000, dtype=np.uint64).view(np.float64)
+    z = np.concatenate([edge, rng.normal(0.0, 3.0, 4000), rng.uniform(-2e-12, 2e-12, 4000),
+                        -np.geomspace(1e-18, 1e-11, 2000), anywhere[~np.isnan(anywhere)]])
+    want = binarize(expit(z).reshape(1, -1)).ravel() == 1
+    assert want[:len(edge)].tolist() == [False] * 4 + [True] * 8 + [False]
+    for shape in ((1, -1), (-1, 1)):
+        assert bits(attention._logit_fg(z.reshape(shape))) == bits(want.reshape(shape))
+
+
+def test_logit_threshold_rejects_nan():
+    with pytest.raises(ParameterError, match="non-finite"):
+        attention._logit_fg(np.array([[0.5, np.nan, -1.0]]))
+    params = toy_params()
+    scales, embed = attention.build_feature_stack(np.ones((32, 32)), [], 8, 0)
+    with pytest.raises(ParameterError, match="non-finite"):
+        attention.camd_forward(scales, embed, dataclasses.replace(params, x0=params.x0 * np.nan), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +266,38 @@ def test_forward_validates_inputs():
         attention.camd_forward(scales, embed, toy_params(), 0)
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=["float", "bool", "text"])
+def test_decoder_entry_points_reject_non_integers(value):
+    image = np.ones((32, 32))
+    with pytest.raises(ParameterError, match="n_queries must be an integer"):
+        attention.AttentionParams.initialize(value, 8)
+    with pytest.raises(ParameterError, match="dim must be an integer"):
+        attention.AttentionParams.initialize(4, value)
+    with pytest.raises(ParameterError, match="dim must be an integer"):
+        attention.build_feature_stack(image, [], value, 0)
+    scales, embed = attention.build_feature_stack(image, [], 8, 0)
+    with pytest.raises(ParameterError, match="blocks must be an integer"):
+        attention.camd_forward(scales, embed, toy_params(), value)
+
+
+def test_feature_stack_rejects_zero_dim():
+    with pytest.raises(ParameterError, match="dim must be >= 1"):
+        attention.build_feature_stack(np.ones((32, 32)), [], 0, 0)
+
+
+def test_decoder_entry_points_take_numpy_integers():
+    image = rng_stream(18, "test/numpy_ints").random((32, 32))
+    clicks = [ClickRecord(10, 20, True, 1)]
+    want = attention.camd_forward(*attention.build_feature_stack(image, clicks, 8, 18),
+                                  attention.AttentionParams.initialize(4, 8, 18), 2)
+    got = attention.camd_forward(*attention.build_feature_stack(image, clicks, np.int64(8), 18),
+                                 attention.AttentionParams.initialize(np.int32(4), np.int64(8), 18),
+                                 np.int64(2))
+    for a, b in zip(got, want):
+        assert bits(a.mask_probs) == bits(b.mask_probs)
+        assert bits(a.click_class_probs) == bits(b.click_class_probs)
+
+
 # ---------------------------------------------------------------------------
 # batched decoder against the one-query-at-a-time reference
 # ---------------------------------------------------------------------------
@@ -273,6 +332,28 @@ def test_forward_bit_identical_to_reference_sweep():
             assert a["layer"] == b["layer"]
             assert bits(a["attn"]) == bits(b["attn"])
             assert bits(a["mask"]) == bits(b["mask"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_forward_bit_identical_to_reference_at_benchmark_size(seed):
+    # the decode_match workload's sample: 40 queries, dim 16, 3 blocks, one
+    # click on a 128x128 image with three ellipses
+    sample = synthgen.generate(synthgen.SynthSpec(
+        height=128, width=128, n_instances=3, shape_kind="ellipse", seed=seed))
+    click = clicksim.first_click(sample.gt_instances[0])
+    params = attention.AttentionParams.initialize(40, 16, seed)
+    scales, embed = attention.build_feature_stack(sample.feature_map[..., 3], [click], 16, seed)
+    got_records, want_records = [], []
+    got = attention.camd_forward(scales, embed, params, 3, collect=got_records)
+    want = reference_camd_forward(scales, embed, params, 3, collect=want_records)
+    assert len(got) == len(want) == 40
+    for a, b in zip(got, want):
+        assert bits(a.mask_probs) == bits(b.mask_probs)
+        assert bits(a.click_class_probs) == bits(b.click_class_probs)
+    assert len(got_records) == len(want_records) == 9
+    for a, b in zip(got_records, want_records):
+        assert bits(a["attn"]) == bits(b["attn"])
+        assert bits(a["mask"]) == bits(b["mask"])
 
 
 def test_attn_mask_wrappers_match_reference_rows():

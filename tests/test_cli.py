@@ -260,6 +260,7 @@ MALFORMED_FILES = {
     "no_weights.json": json.dumps({"bias": 0.0}),
     "cost_object.json": json.dumps({"costs": [[1.0, 2.0], [3.0, 1.0]]}),
     "big_pixel.pgm": "P2\n2 1\n255\n0 99999999999999999999\n",
+    "costs_bool.json": json.dumps([[True, False]]),
 }
 NOC_TRAINED = "noc run --dataset synth:{tmp}/spec.json --seed 1 --count 1 --out {tmp}/t.json "
 LOSS_EVAL = "loss eval --pred {tmp}/ok.pm --gt {tmp}/ok.pgm "
@@ -350,6 +351,7 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
     NOC_TRAINED + "--predictor trained:{tmp}/no_weights.json",
     "match --costs {tmp}/cost_object.json",
     "loss eval --pred {tmp}/ok.pm --gt {tmp}/big_pixel.pgm --loss bce",
+    "match --costs {tmp}/costs_bool.json",
 ], ids=["hw_zero", "hw_negative", "hw_text", "gammas_text", "gammas_above_five",
         "gammas_nan", "gamma_a_above_one", "costs_sum_overflows",
         "pgm_pixel_text", "pgm_header_text", "pgm_negative_size", "pm_value_text",
@@ -373,7 +375,7 @@ TRAIN_DEMO = "train demo --spec {tmp}/spec.json --steps 1 --out {tmp}/run "
         "loss_eval_pred_under_a_file", "model_directory", "noc_out_directory",
         "curve_out_directory", "synth_out_is_a_file", "train_out_is_a_file", "model_bool_weight",
         "model_bool_bias", "model_no_bias", "model_no_weights", "match_costs_without_cost_key",
-        "pgm_pixel_beyond_int64"])
+        "pgm_pixel_beyond_int64", "match_costs_bool"])
 def test_malformed_input_exit_two(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)

@@ -334,6 +334,82 @@ def test_instance_validation():
         matching.GroundTruthInstance(square_mask(), np.array([0.5, 0.5]))
 
 
+def stack_inputs(n=5, h=3, w=4):
+    rng = rng_stream(21, "test/instance_stack")
+    obj = rng.random(n)
+    return rng.random((n, h, w)), np.stack([obj, 1.0 - obj], axis=1)
+
+
+def test_instance_stack_equals_per_object_construction():
+    probs, cls = stack_inputs()
+    probs[0], probs[1, 0, 0], cls[2] = 0.0, 1.0, [1.0, 0.0]
+    for p_in, c_in in [(probs, cls), (probs.tolist(), cls.tolist()),
+                       (probs.astype(np.float32), cls), (probs[:1], cls[:1])]:
+        got = matching.InstancePrediction.stack(p_in, c_in)
+        want = [matching.InstancePrediction(p, c) for p, c in zip(p_in, c_in)]
+        assert len(got) == len(want) == len(p_in)
+        for a, b in zip(got, want):
+            assert type(a) is matching.InstancePrediction
+            assert bits(a.mask_probs) == bits(b.mask_probs)
+            assert bits(a.click_class_probs) == bits(b.click_class_probs)
+            assert a.mask_probs.flags.c_contiguous
+
+
+def _nan_map(probs, cls):
+    probs[3, 1, 2] = np.nan
+
+
+def _above_one(probs, cls):
+    probs[4, 0, 0] = 1.0 + 1e-12
+
+
+def _below_zero(probs, cls):
+    probs[0, 2, 3] = -0.25
+
+
+def _pair_sum(probs, cls):
+    cls[1] = [0.6, 0.6]
+
+
+def _nan_pair(probs, cls):
+    cls[2, 0] = np.nan
+
+
+@pytest.mark.parametrize("corrupt, exc", [
+    (_nan_map, ParameterError), (_above_one, ParameterError), (_below_zero, ParameterError),
+    (_pair_sum, ParameterError), (_nan_pair, ParameterError),
+    (lambda probs, cls: None, None),
+], ids=["nan_map", "above_one", "below_zero", "pair_sum", "nan_pair", "valid"])
+def test_instance_stack_rejects_what_the_constructor_rejects(corrupt, exc):
+    probs, cls = stack_inputs()
+    corrupt(probs, cls)
+    errors = set()
+    for p, c in zip(probs, cls):
+        try:
+            matching.InstancePrediction(p, c)
+        except (DimensionError, ParameterError) as err:
+            errors.add(type(err))
+    assert errors == ({exc} if exc else set())
+    if exc:
+        with pytest.raises(exc):
+            matching.InstancePrediction.stack(probs, cls)
+    else:
+        matching.InstancePrediction.stack(probs, cls)
+
+
+@pytest.mark.parametrize("probs, cls", [
+    (np.full((2, 3, 4), 0.5), np.full((2, 3), 1 / 3)),  # a class triple per map
+    (np.full((2, 3, 4), 0.5), np.full(2, 0.5)),          # one class value per map
+    (np.full((2, 3, 4), 0.5), np.full((3, 2), 0.5)),     # more pairs than maps
+    (np.full((3, 4), 0.5), np.full((3, 2), 0.5)),        # one map, not a stack
+    (np.full((2, 1, 3, 4), 0.5), np.full((2, 2), 0.5)),
+    (np.empty((0, 3, 4)), np.empty((0, 2))),
+], ids=["class_triples", "class_values", "pairs_per_map", "one_map", "four_d", "empty"])
+def test_instance_stack_rejects_bad_shapes(probs, cls):
+    with pytest.raises(DimensionError):
+        matching.InstancePrediction.stack(probs, cls)
+
+
 @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0]], ids=["nan_nan", "nan_one"])
 def test_instance_rejects_nan_class_probs(probs):
     # NaN fails every comparison, so a check that rejects "min < 0" lets it through
