@@ -12,14 +12,14 @@ Two map-level coefficients extend the focal/poly family:
 Final per-pixel form:  -mu*(1-pt)^gamma_d*log(pt) + alpha*(1-pt)^(gamma_d+1).
 
 Both coefficients are computed from the clamped pt map and detached: the
-analytic gradient differentiates through pt only.  ``_afl_coeffs`` computes
-them for a stack of maps, and ``losses._loss_terms``, the one assembly of
-every loss, is its caller: a bound step passes one map as a (1, 1, h, w)
-stack, the gradient check and ``identity_residuals`` K maps with per-map
-exponents as a (1, K, h, w) stack, and the matching cost a block of
-prediction rows against every ground truth.  With ADA and AGR disabled
-(gamma_a := 0, mu := 1) the loss collapses to poly, then focal (alpha=0),
-then bce (gamma=0) -- bit-exactly, since all share one kernel.
+analytic gradient differentiates through pt only.  AFL is built like every
+other loss, in ``losses``: ``make_loss("afl")`` checks its parameters (the
+rules of ``AflParams``), and ``losses._afl_coeffs`` computes the coefficients
+inside ``losses._loss_terms``, the one assembly of every loss.  With ADA and
+AGR disabled (gamma_a := 0, mu := 1) the loss collapses to poly, then focal
+(alpha=0), then bce (gamma=0) -- bit-exactly, since all share one kernel.
+This module adds the records, the one-map entry points and the verification
+tools below.
 
 The ``*_series`` functions are truncated expansions of the loss and its
 gradient around pt = 1; they are verification tools restricted to pt > 0.5,
@@ -34,9 +34,9 @@ import numpy as np
 
 from .core import (DimensionError, DomainError, ParameterError, _pt_kernel, as_binary_mask,
                    as_prob_stack, check_integer, check_nonnegative)
-from .losses import LossOutput, Target, _check_gamma, _loss_terms, _power, make_loss
-
-MU_FLOOR_PER_PIXEL = 1e-12  # caps mu at 1e12 when the map is near perfect
+from .losses import (LossOutput, Target, _afl_coeffs, _check_delta, _loss_terms, _mu_kernel,
+                     make_loss)
+from .losses import MU_FLOOR_PER_PIXEL  # noqa: F401  (kept importable from here)
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,7 @@ class AflParams:
     agr_enabled: bool = True
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
-        check_nonnegative("alpha", self.alpha)
-        _check_delta(self.delta)
-
-
-def _check_delta(delta: float) -> None:
-    if not (0.0 <= delta <= 1.0):
-        raise ParameterError(f"delta must be in [0, 1], got {delta}")
+        make_loss("afl", **vars(self))
 
 
 @dataclass
@@ -88,12 +81,6 @@ def mu(pt, gamma_d: float, delta: float) -> float:
     return float(_mu_kernel(((1.0 - arr) ** gamma_d).ravel().sum(), arr.size, gamma_d, delta))
 
 
-def _mu_kernel(mod_sum, n: int, gamma_d, delta: float):
-    """``mu`` of trusted maps of ``n`` pixels given the sums of their
-    modulators ``(1-pt)**gamma_d``; floats, or arrays of one value per map."""
-    return n / np.maximum(mod_sum * (1.0 + delta * gamma_d), MU_FLOOR_PER_PIXEL * n)
-
-
 def afl(pred, gt, params: AflParams = AflParams()) -> tuple[LossOutput, AflDiagnostics]:
     """Adaptive focal loss value (summed over pixels), detached-coefficient
     gradient, diagnostics.
@@ -103,41 +90,6 @@ def afl(pred, gt, params: AflParams = AflParams()) -> tuple[LossOutput, AflDiagn
     """
     out = make_loss("afl", **vars(params))(pred, gt)
     return out, AflDiagnostics(**out.diagnostics)
-
-
-def _afl_coeffs(pt: np.ndarray, fg_index: list, gamma, delta, ada_enabled: bool = True,
-                agr_enabled: bool = True):
-    """Per-map coefficients of trusted pt maps, with ``1 - pt`` and the
-    modulator ``(1-pt)**gamma_d`` that mu and the loss share.
-
-    ``pt`` is a (K, M, h, w) stack whose column j is paired with the flat
-    row-major foreground indices ``fg_index[j]`` of its ground truth; one
-    map is the (1, 1, h, w) case, and a shape group of K maps the (1, K, h, w)
-    case.  The checked ``gamma`` and ``delta`` are
-    floats, or arrays of one value per map that broadcast against the (K, M)
-    coefficients, such as a stacked pass's (K,) arrays against (1, K).
-    Returns ``(diagnostics, omp, mod)``; the diagnostics' fields are (K, M)
-    arrays, ``hard_count`` each mask's count repeated down its column.  Each
-    map's coefficients equal those of ``pt[fg].mean()`` and of Python-float
-    exponents bit for bit: the foreground is summed in row-major order, and
-    ``losses._power`` recomputes the maps whose exponent numpy special-cases.
-    """
-    k, m = pt.shape[:2]
-    flat = pt.reshape(k, m, -1)
-    hard_count = np.empty((k, m), dtype=np.int64)  # filled faster than np.broadcast_to builds
-    hard_count[:] = [ix.size for ix in fg_index]
-    fg_pt_mean = np.ones((k, m))  # 1 without foreground, so gamma_a is 0
-    for j, ix in enumerate(fg_index):
-        if ix.size:
-            np.divide(flat[:, j].take(ix, axis=1).sum(axis=1), ix.size, out=fg_pt_mean[:, j])
-
-    g_a = 1.0 - fg_pt_mean if ada_enabled else np.zeros((k, m))
-    g_d = gamma + g_a
-    omp = 1.0 - pt
-    mod = _power(omp, g_d[..., None, None])
-    mu_val = (_mu_kernel(mod.sum(axis=(-2, -1)), pt.shape[-2] * pt.shape[-1], g_d, delta)
-              if agr_enabled else np.ones((k, m)))
-    return AflDiagnostics(g_a, g_d, mu_val, hard_count, fg_pt_mean), omp, mod
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +235,15 @@ def _identity_terms(p, y, gamma, alpha, delta):
     where the one-map loss takes them as arguments and the float default
     where it fixes them, so every value equals that of the validated one-map
     calls (``afl``, ``losses.poly``, ``focal``, ``bce``, ``pt_map``) bit for
-    bit.  The mu residual and gamma_a come from one ``_afl_coeffs`` call."""
+    bit.  The mu residual and gamma_a come from one ``losses._afl_coeffs``
+    call."""
+    p = p[:, None]
     target = Target.stack(y[:, None])
     g, a, d = (v.reshape(-1, 1, 1, 1) for v in (gamma, alpha, delta))
     zero = np.zeros_like(g)
 
     def terms(name, **params):
-        values, grads, _ = _loss_terms(name, p[:, None], target, params)
+        values, grads, _ = _loss_terms(name, p, target, params)
         return values[:, 0], grads[:, 0]
 
     rungs = {"poly": (terms("afl", gamma=g, alpha=a, delta=d, ada_enabled=False,
@@ -297,7 +251,7 @@ def _identity_terms(p, y, gamma, alpha, delta):
              "focal": (terms("poly", gamma=g, alpha=zero), terms("focal", gamma=g)),
              "bce": (terms("focal", gamma=zero), terms("bce"))}
 
-    on, _, mod = _afl_coeffs(_pt_kernel(p, y)[None], target.fg_index, gamma, delta)
-    g_d = on.gamma_d[0, :, None, None]
-    weighted = on.mu[0, :, None, None] * mod[0] * (1.0 + delta[:, None, None] * g_d)
-    return rungs, np.abs(weighted.mean(axis=(-2, -1)) - 1.0), on.gamma_a[0]
+    on, _, mod = _afl_coeffs(_pt_kernel(p, target.mask), target,
+                             {"gamma": g, "delta": d, "ada_enabled": True, "agr_enabled": True})
+    weighted = on["mu"][..., None, None] * mod * (1.0 + d * on["gamma_d"][..., None, None])
+    return rungs, np.abs(weighted.mean(axis=(-2, -1)) - 1.0)[:, 0], on["gamma_a"][:, 0]

@@ -275,6 +275,8 @@ def build_feature_stack(image: np.ndarray, clicks, dim: int, seed: int):
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise DimensionError("image must be a nonempty 2-D array")
+    if not np.isfinite(img).all():
+        raise ParameterError("image contains non-finite values")
     full_h, full_w = img.shape
 
     def at_scale(denom, label):

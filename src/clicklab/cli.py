@@ -331,9 +331,13 @@ def load_sample_dir(path: str):
     return np.stack(feats, axis=-1), masks, meta
 
 
+def _read_spec(path: str) -> synthgen.SynthSpec:
+    with open(path) as fh:
+        return synthgen.SynthSpec.from_json(json.load(fh))
+
+
 def cmd_synth_gen(args) -> int:
-    with open(args.spec) as fh:
-        spec = synthgen.SynthSpec.from_json(json.load(fh))
+    spec = _read_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     ids = []
@@ -351,9 +355,7 @@ def cmd_synth_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train_demo(args) -> int:
-    with open(args.spec) as fh:
-        spec = synthgen.SynthSpec.from_json(json.load(fh))
-    sample = synthgen.generate(spec)
+    sample = synthgen.generate(_read_spec(args.spec))
     config = trainer.TrainConfig(
         loss=args.loss, loss_params=_loss_params_from_args(args), steps=args.steps,
         learning_rate=args.lr, optimizer=args.optimizer, instance_index=args.instance)
@@ -377,8 +379,7 @@ def cmd_train_demo(args) -> int:
 def _iter_noc_samples(args):
     """Yield (sample_id, features, gt) triples from a dataset dir or synth spec."""
     if args.dataset.startswith("synth:"):
-        with open(args.dataset[len("synth:"):]) as fh:
-            spec = synthgen.SynthSpec.from_json(json.load(fh))
+        spec = _read_spec(args.dataset[len("synth:"):])
         for i in range(args.count):
             sample = synthgen.generate(dataclasses.replace(spec, seed=args.seed + i))
             for j, gt in enumerate(sample.gt_instances):

@@ -3,16 +3,16 @@
 Every loss returns a :class:`LossOutput` holding the scalar value (the sum
 over pixels) and the exact per-pixel derivative with respect to the
 predicted probability; pt is clamped from below at ``DEFAULT_EPS_CLIP``.
-Every cross-entropy loss (bce, focal, poly, nfl and the class-weighted
-wbce and balanced_ce) evaluates through one shared kernel with that one
-clamp, so the algebraic reductions
+Every cross-entropy loss (bce, focal, poly, nfl, the class-weighted wbce
+and balanced_ce, and the adaptive focal loss afl) evaluates through one
+shared kernel with that one clamp, so the algebraic reductions
 
-    focal(gamma=0) == bce        poly(alpha=0) == focal
+    afl(ADA, AGR off) == poly    poly(alpha=0) == focal    focal(gamma=0) == bce
     wbce(beta=1) == bce          balanced_ce(beta=1/2) == bce / 2
 
 hold bit-for-bit, not merely to tolerance.  Coefficients that depend on the
-whole map (the nfl normalizer, and the adaptive factors in the adaptive
-module) are treated as constants during differentiation.
+whole map (the nfl normalizer, AFL's gamma_a and mu) are held constant in
+differentiation; this module computes them all and imports nothing from adaptive.
 
 Each loss is evaluated in three stages.  :func:`make_loss` checks the
 parameters and returns a :class:`Loss`; :class:`Target` validates a ground
@@ -41,6 +41,9 @@ from .core import (
     check_same_shape,
 )
 
+MU_FLOOR_PER_PIXEL = 1e-12  # caps AFL's mu at 1e12 when the map is near perfect
+
+
 @dataclass
 class LossOutput:
     value: float
@@ -60,6 +63,12 @@ def _check_gamma(gamma: float) -> float:
     if not (0.0 <= gamma <= 5.0):
         raise ParameterError(f"gamma must be in [0, 5], got {gamma}")
     return float(gamma)
+
+
+def _check_delta(delta: float) -> float:
+    if not (0.0 <= delta <= 1.0):
+        raise ParameterError(f"delta must be in [0, 1], got {delta}")
+    return float(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +242,41 @@ def _power(base: np.ndarray, e):
     return out
 
 
+def _afl_coeffs(pt: np.ndarray, target: Target, params: dict):
+    """``(coeffs, omp, mod)`` of trusted pt maps paired with ``target`` as in
+    ``_loss_terms``, given AFL's checked ``params``: the ``AflDiagnostics``
+    fields in pt's leading shape, ``1 - pt`` and the modulator ``omp**gamma_d``.
+    They equal those of ``pt[fg].mean()`` and Python-float exponents bit for
+    bit: the foreground is summed in row-major order, and ``_power`` handles
+    the exponents numpy special-cases."""
+    lead, (h, w) = pt.shape[:-2], pt.shape[-2:]
+    flat = pt.reshape(-1, len(target.fg_index), h * w)
+    hard_count = np.empty(flat.shape[:2], dtype=np.int64)  # faster than np.broadcast_to
+    hard_count[:] = [ix.size for ix in target.fg_index]
+    fg_pt_mean = np.ones(flat.shape[:2])  # 1 without foreground, so gamma_a is 0
+    for j, ix in enumerate(target.fg_index):
+        if ix.size:
+            np.divide(flat[:, j].take(ix, axis=1).sum(axis=1), ix.size, out=fg_pt_mean[:, j])
+    fg_pt_mean = fg_pt_mean.reshape(lead)
+    gamma, delta = (params[key] if np.ndim(params[key]) == 0 else params[key][..., 0, 0]
+                    for key in ("gamma", "delta"))
+    g_a = 1.0 - fg_pt_mean if params["ada_enabled"] else np.zeros(lead)
+    g_d = gamma + g_a
+    omp = 1.0 - pt
+    mod = _power(omp, g_d[..., None, None])
+    mu = (_mu_kernel(mod.sum(axis=(-2, -1)), h * w, g_d, delta) if params["agr_enabled"]
+          else np.ones(lead))
+    return ({"gamma_a": g_a, "gamma_d": g_d, "mu": mu, "hard_count": hard_count.reshape(lead),
+             "foreground_pt_mean": fg_pt_mean}, omp, mod)
+
+
+def _mu_kernel(mod_sum, n: int, gamma_d, delta: float):
+    """``mu`` of trusted maps of ``n`` pixels given the sums of their
+    modulators ``(1-pt)**gamma_d``; floats, or arrays of one value per map.
+    The denominator is floored at ``MU_FLOOR_PER_PIXEL`` per pixel."""
+    return n / np.maximum(mod_sum * (1.0 + delta * gamma_d), MU_FLOOR_PER_PIXEL * n)
+
+
 # ---------------------------------------------------------------------------
 # bce, focal and poly, the special-case ladder: validate, bind, step
 # ---------------------------------------------------------------------------
@@ -317,10 +361,6 @@ def make_loss(name: str, **params) -> Loss:
     kw = {key: params.pop(key, default) for key, default in _LOSS_PARAMS[name].items()}
     if params:
         raise ParameterError(f"loss {name!r} does not accept parameters {sorted(params)}")
-    if name == "afl":
-        from .adaptive import AflParams  # deferred: adaptive builds on this module
-
-        AflParams(**kw)
     if "smooth" in kw:
         check_nonnegative("smooth", kw["smooth"])
     if "beta" in kw:
@@ -329,6 +369,11 @@ def make_loss(name: str, **params) -> Loss:
         kw["gamma"] = _check_gamma(kw["gamma"])
     if "alpha" in kw:
         kw["alpha"] = float(check_nonnegative("alpha", kw["alpha"]))
+    if "delta" in kw:
+        kw["delta"] = _check_delta(kw["delta"])
+    for flag in ("ada_enabled", "agr_enabled"):
+        if flag in kw and not isinstance(kw[flag], (bool, np.bool_)):
+            raise ParameterError(f"{flag} must be a bool, got {kw[flag]!r}")
     return Loss(partial(_bound_step, name=name, params=kw))
 
 
@@ -369,17 +414,10 @@ def _loss_terms(name: str, p, target: Target, params: dict, diag=None, grad: boo
         return diag.get("nfl_scale", 1.0) * value_px.sum(axis=(-2, -1))
     diag = {"beta": params["beta"]} if "beta" in params else {}
     if name == "afl":
-        from .adaptive import _afl_coeffs  # deferred: adaptive builds on this module
-
-        h, w = pt.shape[-2:]
-        coeffs, omp, mod = _afl_coeffs(pt.reshape(-1, len(target.fg_index), h, w),
-                                       target.fg_index, np.ravel(g), np.ravel(params["delta"]),
-                                       params["ada_enabled"], params["agr_enabled"])
-        diag = {key: v.reshape(pt.shape[:-2]) for key, v in vars(coeffs).items()}
+        diag, omp, mod = _afl_coeffs(pt, target, params)
         # one map takes float coefficients, which numpy applies faster than (1, 1) arrays
         g, mu = (diag[key].item() if pt.ndim == 2 else diag[key][..., None, None]
                  for key in ("gamma_d", "mu"))
-        omp, mod = omp.reshape(pt.shape), mod.reshape(pt.shape)
     else:
         omp = 1.0 - pt
         mod = _power(omp, g)

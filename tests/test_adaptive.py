@@ -183,6 +183,13 @@ def test_afl_params_validation():
             adaptive.AflParams(alpha=alpha)
 
 
+@pytest.mark.parametrize("flag", ["ada_enabled", "agr_enabled"])
+def test_afl_params_flags_must_be_bools(flag):
+    with pytest.raises(ParameterError, match=f"{flag} must be a bool"):
+        adaptive.AflParams(**{flag: "no"})
+    adaptive.AflParams(**{flag: np.False_})
+
+
 def test_bound_afl_step_equals_float_oracle_bit_for_bit():
     # the (1, 1, h, w) case of the batched coefficients against pt[fg].mean()
     # and Python-float exponents; gamma 0.5 and 2.0 with ADA off hit numpy's

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,16 @@ def test_decoder_entry_points_reject_non_integers(value):
 def test_feature_stack_rejects_zero_dim():
     with pytest.raises(ParameterError, match="dim must be >= 1"):
         attention.build_feature_stack(np.ones((32, 32)), [], 0, 0)
+
+
+@pytest.mark.parametrize("value, at", [(np.nan, (3, 4)), (np.inf, (0, 0))], ids=["nan", "inf"])
+def test_feature_stack_rejects_non_finite_image(value, at):
+    image = np.ones((32, 32))
+    image[at] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any matmul warns
+        with pytest.raises(ParameterError, match="image contains non-finite values"):
+            attention.build_feature_stack(image, [], 8, 0)
 
 
 def test_decoder_entry_points_take_numpy_integers():

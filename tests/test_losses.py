@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -489,6 +490,41 @@ def test_no_function_or_field_takes_clamp_or_reduction():
 def test_soft_iou_takes_no_beta():
     with pytest.raises(ParameterError, match="does not accept"):
         losses.make_loss("soft_iou", beta=0.3)
+
+
+@pytest.mark.parametrize("value", ["no", "", 0, 1, 1.0, None, np.int64(1)],
+                         ids=["text_no", "empty_text", "int_0", "int_1", "float", "none", "np_int"])
+@pytest.mark.parametrize("flag", ["ada_enabled", "agr_enabled"])
+def test_make_loss_rejects_non_bool_afl_flags(flag, value):
+    with pytest.raises(ParameterError, match=f"{flag} must be a bool"):
+        losses.make_loss("afl", **{flag: value})
+
+
+def test_afl_flags_take_numpy_bools():
+    # a 4 x 4 map with foreground pt 0.3: ADA off gives gamma_a 0, on gives 0.7
+    pred, gt = np.full((4, 4), 0.3), np.ones((4, 4), dtype=np.uint8)
+    for flag, want in ((np.False_, 0.0), (False, 0.0), (np.True_, 1.0 - 0.3)):
+        got = losses.make_loss("afl", ada_enabled=flag)(pred, gt).diagnostics["gamma_a"]
+        assert got == pytest.approx(want, abs=1e-15)
+
+
+def test_make_loss_checks_afl_delta():
+    for delta in (-0.1, 1.2, float("nan")):
+        with pytest.raises(ParameterError, match="delta"):
+            losses.make_loss("afl", delta=delta)
+
+
+def test_losses_imports_nothing_from_adaptive():
+    # adaptive builds on losses; losses must not reach back, at module or function level
+    tree = ast.parse(open(losses.__file__).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        else:
+            continue
+        assert not any("adaptive" in name.split(".") for name in names), ast.unparse(node)
 
 
 # two different valid values of every parameter make_loss accepts
